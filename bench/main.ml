@@ -240,6 +240,11 @@ let explore_throughput () =
         (Unix.gettimeofday () -. t0))
     [ 1; 2; 4 ]
 
+let time f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
+
 (* -------- explorer snapshot: BENCH_explore.json -------- *)
 
 (* Measure the parallel prefix-sharing engine against the pre-PR
@@ -251,11 +256,6 @@ let explore_throughput () =
 let explore_snapshot () =
   let w = explore_workload () in
   let max_steps = 12 in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   (* warm up the allocator / code paths before timing *)
   ignore (Explore.exhaustive ~max_steps:8 w);
   let naive, dt_naive =
@@ -270,8 +270,7 @@ let explore_snapshot () =
       (fun domains ->
         let rep, dt =
           time (fun () ->
-              Explore.exhaustive ~max_steps:scale_steps ~domains ~dedup:false
-                ~independence:false w)
+              Explore.exhaustive ~max_steps:scale_steps ~domains ~dedup:false w)
         in
         (domains, rep.Explore.executions, dt, rate rep.Explore.executions dt))
       [ 1; 2; 4 ]
@@ -294,7 +293,6 @@ let explore_snapshot () =
           ("complete", Obs.Json.Int rep.Explore.complete);
           ("truncated", Obs.Json.Int rep.Explore.truncated);
           ("dedup_hits", Obs.Json.Int rep.Explore.dedup_hits);
-          ("pruned", Obs.Json.Int rep.Explore.pruned);
           ("domains", Obs.Json.Int rep.Explore.domains);
           ("violations", Obs.Json.Int (List.length rep.Explore.violations));
         ] )
@@ -341,93 +339,6 @@ let explore_snapshot () =
     scaling;
   Printf.printf "%-36s %10.2fx\n" "scaling 1 -> 4 domains" scaling_1_to_4;
   print_endline "wrote BENCH_explore.json"
-
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
-(* -------- certification snapshot: BENCH_certify.json -------- *)
-
-(* Measure what [--certify-independence] costs: the same exhaustive
-   exploration with runtime validation of every sleep-set prune off and
-   on, over a workload whose operations actually commute (bu-then-scan,
-   where prunes happen and claims are checked) and over the all-conflict
-   workload (where certification's footprint bookkeeping runs but no
-   pair is ever claimed). Written to BENCH_certify.json; the snapshot
-   asserts the certified run stays under [max_overhead]x the plain run,
-   so CI catches the validation layer becoming accidentally hot. *)
-let certify_snapshot () =
-  let max_steps = 12 in
-  let max_overhead = 2.5 in
-  let wl name =
-    match
-      Explore.Aug_target.builtin
-        ~oracles:[ Explore.Aug_target.no_failure; Explore.Aug_target.spec ]
-        ~name ~f:2 ~m:2 ()
-    with
-    | Some w -> w
-    | None -> assert false
-  in
-  let side name =
-    let w = wl name in
-    ignore (Explore.exhaustive ~max_steps:8 w);
-    (* warmed up *)
-    let _plain, dt_plain = time (fun () -> Explore.exhaustive ~max_steps w) in
-    let cert, dt_cert =
-      time (fun () -> Explore.exhaustive ~max_steps ~certify:true w)
-    in
-    let overhead = if dt_plain > 0. then dt_cert /. dt_plain else nan in
-    Printf.printf
-      "%-36s %8.3f s plain, %8.3f s certified (%.2fx), %d claims checked, %d \
-       violations\n"
-      name dt_plain dt_cert overhead cert.Explore.certify_checks
-      cert.Explore.certify_violations;
-    ( overhead,
-      cert.Explore.certify_violations,
-      Obs.Json.Obj
-        [
-          ("workload", Obs.Json.Str name);
-          ("wall_s_plain", Obs.Json.Float dt_plain);
-          ("wall_s_certified", Obs.Json.Float dt_cert);
-          ("overhead_x", Obs.Json.Float overhead);
-          ("executions", Obs.Json.Int cert.Explore.executions);
-          ("certify_checks", Obs.Json.Int cert.Explore.certify_checks);
-          ("certify_violations", Obs.Json.Int cert.Explore.certify_violations);
-        ] )
-  in
-  let sides = List.map side [ "bu-then-scan"; "bu-conflict" ] in
-  let worst =
-    List.fold_left
-      (fun acc (o, _, _) -> if o > acc then o else acc)
-      0. sides
-  in
-  let violations = List.fold_left (fun acc (_, v, _) -> acc + v) 0 sides in
-  let ok = worst < max_overhead && violations = 0 in
-  let j =
-    Obs.Json.Obj
-      [
-        ("max_steps", Obs.Json.Int max_steps);
-        ("max_overhead_x", Obs.Json.Float max_overhead);
-        ("worst_overhead_x", Obs.Json.Float worst);
-        ("certify_violations", Obs.Json.Int violations);
-        ("pass", Obs.Json.Bool ok);
-        ("workloads", Obs.Json.Arr (List.map (fun (_, _, j) -> j) sides));
-      ]
-  in
-  let oc = open_out "BENCH_certify.json" in
-  output_string oc (Obs.Json.to_string_pretty j);
-  output_string oc "\n";
-  close_out oc;
-  Printf.printf "%-36s %10.2fx (budget %.1fx)\n" "worst certify overhead" worst
-    max_overhead;
-  print_endline "wrote BENCH_certify.json";
-  if not ok then begin
-    Printf.eprintf
-      "FAIL: certify overhead %.2fx >= %.1fx or %d unsound prunes\n" worst
-      max_overhead violations;
-    exit 1
-  end
 
 (* -------- observability snapshot: BENCH_obs.json -------- *)
 
@@ -495,13 +406,6 @@ let () =
     explore_snapshot ();
     exit 0
   end;
-  if Array.exists (( = ) "--certify-only") Sys.argv then begin
-    print_endline "======================================================";
-    print_endline " Certification snapshot (BENCH_certify.json)";
-    print_endline "======================================================";
-    certify_snapshot ();
-    exit 0
-  end;
   if Array.exists (( = ) "--obs-only") Sys.argv then begin
     print_endline "======================================================";
     print_endline " Observability snapshot (BENCH_obs.json)";
@@ -529,11 +433,6 @@ let () =
   print_endline " Explorer snapshot (BENCH_explore.json)";
   print_endline "======================================================";
   explore_snapshot ();
-  print_newline ();
-  print_endline "======================================================";
-  print_endline " Certification snapshot (BENCH_certify.json)";
-  print_endline "======================================================";
-  certify_snapshot ();
   print_newline ();
   print_endline "======================================================";
   print_endline " Observability snapshot (BENCH_obs.json)";

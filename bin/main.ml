@@ -372,26 +372,6 @@ let explore_cmd =
             "Exhaustive: disable state-fingerprint deduplication and explore \
              the literal schedule tree.")
   in
-  let no_independence =
-    Arg.(
-      value & flag
-      & info [ "no-independence" ]
-          ~doc:
-            "Exhaustive: disable sleep-set pruning of independent \
-             (component-disjoint) Block-Update interleavings.")
-  in
-  let certify =
-    Arg.(
-      value & flag
-      & info [ "certify-independence" ]
-          ~doc:
-            "Exhaustive: validate every sleep-set prune at runtime — each \
-             pruned pair's operations must turn out to be triple-appends on \
-             disjoint components once they execute. Checks and violations are \
-             counted in the explore.certify.* metrics and printed; a non-zero \
-             violation count means the independence relation lied and exits \
-             with status 1.")
-  in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Sweep: base seed.") in
   let inject =
     Arg.(
@@ -424,8 +404,7 @@ let explore_cmd =
       & info [ "out" ] ~docv:"PATH" ~doc:"Save counterexample artifacts here.")
   in
   let run workload f m n d mode max_steps preemption_bound budget domains
-      no_dedup no_independence certify seed inject faults max_violations out
-      metrics trace_out =
+      no_dedup seed inject faults max_violations out metrics trace_out =
     match build_workload ~workload ~f ~m ~n ~d ~inject ~faults ~seed with
     | Error e ->
       Log.err (fun k -> k "explore: %s" e);
@@ -441,45 +420,23 @@ let explore_cmd =
           let max_steps = if max_steps = 0 then 12 else max_steps in
           let rep =
             Explore.exhaustive ~max_steps ?preemption_bound ~max_violations
-              ?domains ~dedup:(not no_dedup)
-              ~independence:(not no_independence) ~certify w
+              ?domains ~dedup:(not no_dedup) w
           in
           Printf.printf
             "exhaustive %s: %d prefixes, %d complete + %d truncated executions \
-             (max %d steps%s) on %d domains; %d dedup cuts, %d sleep prunes\n"
+             (max %d steps%s) on %d domains; %d dedup cuts\n"
             w.Explore.name rep.Explore.prefixes rep.Explore.complete
             rep.Explore.truncated max_steps
             (match preemption_bound with
             | None -> ""
             | Some b -> Printf.sprintf ", <= %d preemptions" b)
-            rep.Explore.domains rep.Explore.dedup_hits rep.Explore.pruned;
-          if certify then
-            Printf.printf
-              "certify-independence: %d commutation claims checked, %d \
-               violations\n"
-              rep.Explore.certify_checks rep.Explore.certify_violations;
+            rep.Explore.domains rep.Explore.dedup_hits;
           List.iteri print_violation rep.Explore.violations;
           save_violations ~out ~workload:w ~max_steps rep.Explore.violations;
-          if rep.Explore.violations = [] && rep.Explore.certify_violations = 0
-          then
+          if rep.Explore.violations = [] then
             print_endline
               "no violations: every explored schedule satisfies the oracles";
-          if rep.Explore.certify_violations > 0 then
-            (* surface unsound prunes through the same exit path as
-               oracle violations *)
-            [
-              {
-                Explore.script = [];
-                original = [];
-                errors =
-                  [
-                    Printf.sprintf
-                      "certify-independence: %d unsound sleep-set prunes"
-                      rep.Explore.certify_violations;
-                  ];
-              };
-            ]
-          else rep.Explore.violations
+          rep.Explore.violations
         | `Sweep ->
           let max_steps = if max_steps = 0 then 200 else max_steps in
           let rep =
@@ -512,8 +469,8 @@ let explore_cmd =
          ])
     Term.(
       const run $ workload $ f $ m $ n $ d $ mode $ max_steps $ preemption_bound
-      $ budget $ domains $ no_dedup $ no_independence $ certify $ seed $ inject
-      $ faults $ max_violations $ out $ metrics_arg $ trace_out_arg)
+      $ budget $ domains $ no_dedup $ seed $ inject $ faults $ max_violations
+      $ out $ metrics_arg $ trace_out_arg)
 
 (* ---------------- replay ---------------- *)
 

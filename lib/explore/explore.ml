@@ -22,19 +22,11 @@ let h_preempt = Obs.Metrics.histogram "explore.preemptions"
 
 (* Parallel-frontier telemetry: tasks processed, tasks popped by a
    domain other than the one that pushed them, state-fingerprint dedup
-   hits, sleep-set prunes, and the live frontier size. *)
+   hits, and the live frontier size. *)
 let m_tasks = Obs.Metrics.counter "explore.tasks"
 let m_steals = Obs.Metrics.counter "explore.steals"
 let m_dedup = Obs.Metrics.counter "explore.dedup.hits"
-let m_sleep = Obs.Metrics.counter "explore.sleep.prunes"
 let g_frontier = Obs.Metrics.gauge "explore.frontier.depth"
-
-(* Independence certification (--certify-independence): commuting claims
-   behind sleep-set prunes that were validated against the executed
-   operations' real footprints, and the ones that turned out to be wrong
-   — i.e. pruned pairs with a happens-before edge after all. *)
-let m_cert_checks = Obs.Metrics.counter "explore.certify.checks"
-let m_cert_viols = Obs.Metrics.counter "explore.certify.violations"
 
 (* Context switches away from a pid that appears again later — the
    preemption depth of an executed schedule. *)
@@ -57,8 +49,6 @@ type probe_view = {
   step : int;
   live : int list;
   fingerprint : (int * int) option;
-  indep : int -> int -> bool;
-  claim : int -> int -> unit;
 }
 
 type probe = probe_view -> [ `Continue | `Stop ]
@@ -234,10 +224,7 @@ type exhaustive_report = {
   prefixes : int;
   executions : int;
   dedup_hits : int;
-  pruned : int;
   domains : int;
-  certify_checks : int;
-  certify_violations : int;
   violations : violation list;
 }
 
@@ -308,27 +295,20 @@ let exhaustive_naive ?(max_steps = 64) ?preemption_bound ?(max_violations = 1)
     prefixes = !prefixes;
     executions = !executions;
     dedup_hits = 0;
-    pruned = 0;
     domains = 1;
-    certify_checks = 0;
-    certify_violations = 0;
     violations = List.rev !violations;
   }
 
 (* A frontier entry: a schedule prefix (reverse-consed decisions) to
-   re-execute and expand. [sleep] are the pids this branch must not
-   schedule at its first fresh decision (Godefroid sleep sets); [origin]
-   is the pushing domain, for steal accounting. *)
+   re-execute and expand. [origin] is the pushing domain, for steal
+   accounting. *)
 type frontier_task = {
   rev_prefix : int list;
   depth : int;
   preempts : int;
   last : int;
-  sleep : int list;
   origin : int;
 }
-
-let sleep_mask = List.fold_left (fun acc p -> acc lor (1 lsl p)) 0
 
 (* The parallel prefix-sharing engine. Each frontier task executes its
    prefix exactly once; from the prefix's end onward the execution
@@ -340,12 +320,14 @@ let sleep_mask = List.fold_left (fun acc p -> acc lor (1 lsl p)) 0
    judge it).
 
    Determinism: state claims are atomic, and equal (fingerprint, depth,
-   sleep, bound-state) keys have equal futures, so all counts — and,
-   when no early stop cuts the run short, the violation set after the
-   sorted merge — are reproducible regardless of the number of domains
-   or of which racing task wins a claim. *)
+   bound-state) keys have equal futures, so all counts are reproducible
+   regardless of the number of domains or of which racing task wins a
+   claim. Which task wins does decide which prefix reaches a state
+   first, so with dedup on the violation scripts can differ between
+   runs; with dedup off (and no early stop) the sorted merge makes them
+   domain-count invariant too. *)
 let exhaustive ?(max_steps = 64) ?preemption_bound ?(max_violations = 1)
-    ?domains ?(dedup = true) ?(independence = true) ?(certify = false) w =
+    ?domains ?(dedup = true) w =
   let domains =
     match domains with
     | Some d -> max 1 d
@@ -353,17 +335,8 @@ let exhaustive ?(max_steps = 64) ?preemption_bound ?(max_violations = 1)
   in
   (* Injected faults give reached states clock-dependent components
      (stall windows, restart delays) the fingerprint cannot see, so
-     pruning is unsound there and switches itself off. Independence is
-     additionally disabled under a preemption bound: sleeping a branch
-     changes which schedules spend the budget. *)
+     dedup is unsound there and switches itself off. *)
   let dedup = dedup && w.faults = None in
-  let independence = independence && w.faults = None && preemption_bound = None in
-  (* Certification only has claims to validate while sleep sets are
-     active; the baseline counter values turn the global metrics into
-     per-run deltas for the report. *)
-  let certify = certify && independence in
-  let cert_checks0 = Obs.Metrics.counter_value m_cert_checks in
-  let cert_viols0 = Obs.Metrics.counter_value m_cert_viols in
   (* Sharded claim table: a state key is claimed by exactly one task;
      everyone else is pruned. *)
   let shards =
@@ -450,7 +423,6 @@ let exhaustive ?(max_steps = 64) ?preemption_bound ?(max_violations = 1)
   let n_nodes = Atomic.make 0 in
   let n_exec = Atomic.make 0 in
   let n_dedup = Atomic.make 0 in
-  let n_pruned = Atomic.make 0 in
   (* Raw (unshrunk) violations; merged deterministically after the
      join. The early stop is atomic but advisory — in-flight tasks may
      report a few extra raw violations, which the sorted merge then
@@ -475,7 +447,6 @@ let exhaustive ?(max_steps = 64) ?preemption_bound ?(max_violations = 1)
     let rev_path = ref t.rev_prefix in
     let preempts = ref t.preempts in
     let last = ref t.last in
-    let sleep = ref t.sleep in
     let next_pick = ref (-1) in
     let children = ref [] in
     let aborted = ref false in
@@ -504,7 +475,7 @@ let exhaustive ?(max_steps = 64) ?preemption_bound ?(max_violations = 1)
               | None -> -1
               | Some _ -> (!preempts * 64) + !last + 1
             in
-            if claim (f1, f2, pv.step, sleep_mask !sleep, benc) then true
+            if claim (f1, f2, pv.step, benc) then true
             else begin
               Atomic.incr n_dedup;
               Obs.Metrics.incr m_dedup;
@@ -522,84 +493,45 @@ let exhaustive ?(max_steps = 64) ?preemption_bound ?(max_violations = 1)
           `Stop
         else begin
           Atomic.incr n_nodes;
-          begin
-            let choices =
-              match preemption_bound with
-              | Some b
-                when !preempts >= b && !last >= 0 && List.mem !last pv.live ->
-                [ !last ]
-              | _ -> pv.live
-            in
-            let explorable =
-              if not independence then choices
-              else List.filter (fun p -> not (List.mem p !sleep)) choices
-            in
-            match explorable with
-            | [] ->
-              (* Every enabled branch is asleep: some commuted ordering
-                 of these steps is explored elsewhere. *)
-              Atomic.incr n_pruned;
-              Obs.Metrics.incr m_sleep;
-              cut_off := true;
-              `Stop
-            | chosen :: rest ->
-              let preempts_of_child pid =
-                if !last >= 0 && pid <> !last && List.mem !last pv.live then
-                  !preempts + 1
-                else !preempts
-              in
-              (* Godefroid sleep sets: sibling c_i sleeps on every
-                 member of Z ∪ {c_1..c_{i-1}} independent of c_i. *)
-              if rest <> [] then begin
-                let earlier = ref [ chosen ] in
-                List.iter
-                  (fun c ->
-                    let zsleep =
-                      if not independence then []
-                      else
-                        List.filter
-                          (fun z -> pv.indep z c)
-                          (List.sort_uniq compare (!sleep @ !earlier))
-                    in
-                    (* --certify-independence: every pair whose claimed
-                       commutation justifies putting [c] to sleep on [z]
-                       is validated once both operations actually
-                       execute (the workload checks their real
-                       footprints are disjoint). *)
-                    if certify then List.iter (fun z -> pv.claim z c) zsleep;
-                    children :=
-                      {
-                        rev_prefix = c :: !rev_path;
-                        depth = pv.step + 1;
-                        preempts = preempts_of_child c;
-                        last = c;
-                        sleep = zsleep;
-                        origin = d;
-                      }
-                      :: !children;
-                    earlier := c :: !earlier)
-                  rest
-              end;
-              sleep :=
-                (if independence then
-                   List.filter
-                     (fun z ->
-                       let ok = pv.indep z chosen in
-                       if ok && certify then pv.claim z chosen;
-                       ok)
-                     !sleep
-                 else []);
-              preempts := preempts_of_child chosen;
-              last := chosen;
-              rev_path := chosen :: !rev_path;
-              next_pick := chosen;
-              `Continue
-          end
+          let choices =
+            match preemption_bound with
+            | Some b when !preempts >= b && !last >= 0 && List.mem !last pv.live
+              ->
+              [ !last ]
+            | _ -> pv.live
+          in
+          let preempts_of_child pid =
+            if !last >= 0 && pid <> !last && List.mem !last pv.live then
+              !preempts + 1
+            else !preempts
+          in
+          (* [live] is never empty here, and a bound only narrows it to
+             the still-live [last]. *)
+          let chosen, rest =
+            match choices with c :: rest -> (c, rest) | [] -> assert false
+          in
+          List.iter
+            (fun c ->
+              children :=
+                {
+                  rev_prefix = c :: !rev_path;
+                  depth = pv.step + 1;
+                  preempts = preempts_of_child c;
+                  last = c;
+                  origin = d;
+                }
+                :: !children)
+            rest;
+          preempts := preempts_of_child chosen;
+          last := chosen;
+          rev_path := chosen :: !rev_path;
+          next_pick := chosen;
+          `Continue
         end
       end
     in
     let out =
-      w.exec ~probe:(Some probe) ~certify
+      w.exec ~probe:(Some probe) ~certify:false
         ~sched:(Schedule.fn (fun ~step:_ ~live:_ -> Some !next_pick))
         ~max_ops:max_steps ~check:false
     in
@@ -634,7 +566,6 @@ let exhaustive ?(max_steps = 64) ?preemption_bound ?(max_violations = 1)
         depth = 0;
         preempts = 0;
         last = -1;
-        sleep = [];
         origin = 0;
       };
     ];
@@ -666,10 +597,7 @@ let exhaustive ?(max_steps = 64) ?preemption_bound ?(max_violations = 1)
     prefixes = Atomic.get n_nodes;
     executions = Atomic.get n_exec;
     dedup_hits = Atomic.get n_dedup;
-    pruned = Atomic.get n_pruned;
     domains;
-    certify_checks = Obs.Metrics.counter_value m_cert_checks - cert_checks0;
-    certify_violations = Obs.Metrics.counter_value m_cert_viols - cert_viols0;
     violations = List.rev violations;
   }
 
@@ -1132,34 +1060,11 @@ module Aug_target = struct
       statuses;
     List.rev !live
 
-  let workload ?(oracles = default_oracles) ?inject ?(faults = [])
-      ?(unsound_indep = false) ~name ~f ~m ~bodies () =
+  let workload ?(oracles = default_oracles) ?inject ?(faults = []) ~name ~f
+      ~m ~bodies () =
     let ocs = oracle_counters oracles in
-    let exec ~probe ~certify ~sched ~max_ops ~check =
+    let exec ~probe ~certify:_ ~sched ~max_ops ~check =
       let aug = Aug.create ?inject ~f ~m () in
-      (* --certify-independence bookkeeping. A claim names a pair of
-         fibers whose *next* operations the engine treated as
-         commuting; we key each side by (pid, applied-op ordinal) —
-         the pending operation at claim time is exactly the pid's next
-         applied one — and validate the pair once both footprints are
-         known: sound only if both sides are triple-appends on
-         disjoint M-components (single-writer H). *)
-      let napplied = Array.make f 0 in
-      let footprints = Hashtbl.create (if certify then 64 else 1) in
-      let claimed = Hashtbl.create (if certify then 64 else 1) in
-      let cert_claim =
-        if not certify then fun _ _ -> ()
-        else fun a b ->
-          let ka = (a, napplied.(a)) and kb = (b, napplied.(b)) in
-          let key = if ka <= kb then (ka, kb) else (kb, ka) in
-          if not (Hashtbl.mem claimed key) then Hashtbl.replace claimed key ()
-      in
-      let footprint_of = function
-        | Aug.Ops.Hscan -> `Scan
-        | Aug.Ops.Happend_triples ts ->
-          `Appends (List.map (fun (tr : Hrep.triple) -> tr.Hrep.comp) ts)
-        | Aug.Ops.Happend_lrecords _ -> `Helping
-      in
       (* A plan is single-run (fire-once state), so compile it afresh for
          every execution: replays see the identical fault environment. *)
       let plan = Faults.plan ~adapter:Aug.fault_adapter faults in
@@ -1178,13 +1083,6 @@ module Aug_target = struct
       let comp1 = Array.make f 0x1505 in
       let comp2 = Array.make f 0x9747 in
       let apply ~pid op =
-        if certify then begin
-          (* [op] is the post-fault-adapted operation — the one that
-             actually hits shared memory, so the one whose footprint
-             the commutation claim is about. *)
-          Hashtbl.replace footprints (pid, napplied.(pid)) (footprint_of op);
-          napplied.(pid) <- napplied.(pid) + 1
-        end;
         let res = Aug.apply aug ~pid op in
         let tag =
           match op with
@@ -1217,62 +1115,16 @@ module Aug_target = struct
         in
         (fold mix1 fib1 comp1, fold mix2 fib2 comp2)
       in
-      (* Two pending Block-Update appends targeting disjoint
-         M-components commute for every oracle we run (single-writer H:
-         each writes only its own H component); anything involving a
-         scan or a helping write does not. *)
-      let indep pending a b =
-        if unsound_indep then a <> b
-        else
-          match (pending a, pending b) with
-          | Some (Aug.Ops.Happend_triples ta), Some (Aug.Ops.Happend_triples tb)
-            ->
-            List.for_all
-              (fun (t : Hrep.triple) ->
-                not
-                  (List.exists
-                     (fun (u : Hrep.triple) -> u.Hrep.comp = t.Hrep.comp)
-                     tb))
-              ta
-          | _ -> false
-      in
       let fprobe =
         Option.map
-          (fun p ~step ~live ~pending ->
-            p
-              {
-                step;
-                live;
-                fingerprint = Some (fingerprint live);
-                indep = indep pending;
-                claim = cert_claim;
-              })
+          (fun p ~step ~live ~pending:_ ->
+            p { step; live; fingerprint = Some (fingerprint live) })
           probe
       in
       let result =
         Aug.F.run ~max_ops ~control ~obs_label:Aug.op_name ?probe:fprobe
           ~sched ~apply (bodies aug)
       in
-      if certify then
-        Hashtbl.iter
-          (fun (ka, kb) () ->
-            match
-              (Hashtbl.find_opt footprints ka, Hashtbl.find_opt footprints kb)
-            with
-            | Some fa, Some fb ->
-              Obs.Metrics.incr m_cert_checks;
-              let disjoint =
-                match (fa, fb) with
-                | `Appends ca, `Appends cb ->
-                  List.for_all (fun c -> not (List.mem c cb)) ca
-                | _ -> false
-              in
-              if not disjoint then Obs.Metrics.incr m_cert_viols
-            | _ ->
-              (* One side never executed (truncated run): the pruned
-                 ordering was not realizable here, nothing to check. *)
-              ())
-          claimed;
       let live = live_of result.Aug.F.statuses in
       let complete = live = [] in
       let judge_now () = judge ocs ~complete { aug; result; complete } in
@@ -1322,11 +1174,9 @@ module Aug_target = struct
 
   let builtin_names = [ "bu-conflict"; "bu-scan"; "bu-then-scan"; "mixed" ]
 
-  let builtin ?inject ?faults ?oracles ?unsound_indep ~name ~f ~m () =
+  let builtin ?inject ?faults ?oracles ~name ~f ~m () =
     let mk bodies =
-      Some
-        (workload ?oracles ?inject ?faults ?unsound_indep ~name ~f ~m ~bodies
-           ())
+      Some (workload ?oracles ?inject ?faults ~name ~f ~m ~bodies ())
     in
     match name with
     | "bu-conflict" ->
@@ -1486,19 +1336,10 @@ module Harness_target = struct
       in
       (* No state fingerprint for simulation runs: simulator local state
          is too rich to digest soundly at this boundary, so the engine
-         still shares prefixes but never dedups or sleeps branches. *)
+         still shares prefixes but never dedups. *)
       let fprobe =
         Option.map
-          (fun p ~step ~live ~pending:_ ->
-            p
-              {
-                step;
-                live;
-                fingerprint = None;
-                indep = (fun _ _ -> false);
-                (* never sleeps branches, so never claims *)
-                claim = (fun _ _ -> ());
-              })
+          (fun p ~step ~live ~pending:_ -> p { step; live; fingerprint = None })
           probe
       in
       let result =

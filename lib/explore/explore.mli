@@ -15,9 +15,9 @@
       branches mid-run — effect continuations are one-shot, so branching
       still costs one execution per tree edge, but never a replay per
       node), states already reached by an equivalent interleaving are
-      pruned by fingerprint, commuting Block-Updates are pruned by sleep
-      sets, and the frontier is shared work-stealing-style across
-      [Domain]s with a deterministic merge;
+      pruned by fingerprint (the engine's only reduction), and the
+      frontier is shared work-stealing-style across [Domain]s with a
+      deterministic merge;
     - {!sweep} runs seeded randomized schedules — uniform, crashy
       ({!Rsim_shmem.Schedule.with_crashes}), x-obstruction
       ({!Rsim_shmem.Schedule.among}) and scripted adversaries — in
@@ -34,23 +34,14 @@ open Rsim_shmem
 (** {2 Workloads and outcomes} *)
 
 (** What the exploration engine observes at one scheduling decision of a
-    probed execution: the decision index, the schedulable pids, a
+    probed execution: the decision index, the schedulable pids, and a
     canonical state fingerprint (two independently-mixed digests of the
     shared state and every fiber's operation/result history; [None] when
-    the workload cannot fingerprint soundly), the independence relation
-    between two live pids' pending operations (true only when executing
-    them in either order is equivalent for every oracle the workload
-    runs), and a certification callback: under [--certify-independence]
-    the engine calls [claim a b] for every pair whose claimed
-    commutation justified a sleep-set prune, and the workload validates
-    the pair's real footprints once both operations execute (a no-op
-    when certification is off). *)
+    the workload cannot fingerprint soundly). *)
 type probe_view = {
   step : int;
   live : int list;
   fingerprint : (int * int) option;
-  indep : int -> int -> bool;
-  claim : int -> int -> unit;
 }
 
 (** Returning [`Stop] ends the execution at that decision point. *)
@@ -75,7 +66,9 @@ type outcome = {
     call it concurrently from several [Domain]s. When [check] is false
     the engine only needs [script]/[live]/[steps] and judges lazily via
     [judge]. [probe], if given, is called before every scheduling
-    decision with the reached state's {!probe_view}. *)
+    decision with the reached state's {!probe_view}. [certify] is
+    unused: no workload reads it and every engine passes [false]; the
+    label stays so that existing callers keep compiling. *)
 type workload = {
   name : string;
   n_procs : int;
@@ -107,14 +100,7 @@ type exhaustive_report = {
   prefixes : int;  (** tree nodes expanded (schedule prefixes visited) *)
   executions : int;  (** workload executions actually run *)
   dedup_hits : int;  (** branches cut at an already-claimed state *)
-  pruned : int;  (** branches cut by the sleep-set independence rule *)
   domains : int;  (** parallel workers used *)
-  certify_checks : int;
-      (** sleep-set commutation claims validated under
-          [--certify-independence] (0 when certification is off) *)
-  certify_violations : int;
-      (** validated claims whose real footprints were {e not} disjoint
-          triple-appends — each one is an unsound prune *)
   violations : violation list;
 }
 
@@ -129,40 +115,26 @@ type exhaustive_report = {
     [domains] (default [min 4 (recommended_domain_count - 1)], at least
     1) sets the number of parallel workers. [dedup] (default true) prunes
     prefixes reaching a state already claimed by an equivalent
-    interleaving; [independence] (default true) additionally sleeps
-    commuting sibling branches (Block-Update appends to disjoint
-    components). Both pruning modes switch themselves off when the
-    workload has a fault profile (reached states then depend on wake-up
-    clocks the fingerprint cannot see), and [independence] also under a
-    preemption bound.
+    interleaving — the engine's only reduction. It switches itself off
+    when the workload has a fault profile (reached states then depend on
+    wake-up clocks the fingerprint cannot see).
 
-    Counts and — absent an early stop — the violation set are
-    deterministic functions of the workload and the pruning flags,
+    Counts are deterministic functions of the workload and [dedup],
     regardless of [domains]: state claims are atomic and equal state
-    keys have equal futures, so the merged report does not depend on
-    which racing task wins a claim. Stops early (atomically, across all
-    domains) after [max_violations] (default 1) raw violations; the raw
-    set is then merged deterministically (shortest script first),
-    shrunk, and deduplicated.
-
-    [certify] (default false) turns PR 4's commutativity assumption into
-    a runtime-checked invariant: every sleep-set prune's operation pair
-    is claimed to the workload, which validates — once both operations
-    actually execute — that their real shared-memory footprints are
-    disjoint-component triple-appends. Checks and violations are counted
-    in the [explore.certify.*] metrics and reported as per-run deltas in
-    [certify_checks]/[certify_violations]; a non-zero violation count
-    means some explored-elsewhere ordering was pruned unsoundly. Only
-    meaningful while sleep sets are active, so it switches itself off
-    whenever [independence] does. *)
+    keys have equal futures. With dedup on, which racing task claims a
+    state first decides which prefix reaches it, so violation {e
+    scripts} may differ between runs (the violated oracles do not); with
+    dedup off and no early stop, the violation set is domain-count
+    invariant too. Stops early (atomically, across all domains) after
+    [max_violations] (default 1) raw violations; the raw set is then
+    merged deterministically (shortest script first), shrunk, and
+    deduplicated. *)
 val exhaustive :
   ?max_steps:int ->
   ?preemption_bound:int ->
   ?max_violations:int ->
   ?domains:int ->
   ?dedup:bool ->
-  ?independence:bool ->
-  ?certify:bool ->
   workload ->
   exhaustive_report
 
@@ -170,7 +142,7 @@ val exhaustive :
     [bench --explore-only]: a single-domain DFS that re-executes every
     schedule prefix from scratch (O(L²) executions per leaf) and
     re-executes each leaf once more to judge it. Same report shape, with
-    [dedup_hits]/[pruned] 0 and [domains] 1. *)
+    [dedup_hits] 0 and [domains] 1. *)
 val exhaustive_naive :
   ?max_steps:int ->
   ?preemption_bound:int ->
@@ -291,18 +263,11 @@ module Aug_target : sig
       them) on every call. [faults] is a fault-plane profile compiled
       afresh (fire-once state and all) on every execution, so replays are
       deterministic. Executions maintain rolling state digests, so the
-      exploration engine's probe always gets a fingerprint and the
-      disjoint-component Block-Update independence relation.
-
-      [unsound_indep] (default false, tests only) replaces the
-      independence relation with the deliberately wrong "any two
-      distinct pids commute" — the engine then prunes unsoundly and
-      [certify] must catch it. *)
+      exploration engine's probe always gets a fingerprint. *)
   val workload :
     ?oracles:exec Oracle.t list ->
     ?inject:Rsim_augmented.Aug.fault ->
     ?faults:Rsim_faults.Faults.spec list ->
-    ?unsound_indep:bool ->
     name:string ->
     f:int ->
     m:int ->
@@ -320,7 +285,6 @@ module Aug_target : sig
     ?inject:Rsim_augmented.Aug.fault ->
     ?faults:Rsim_faults.Faults.spec list ->
     ?oracles:exec Oracle.t list ->
-    ?unsound_indep:bool ->
     name:string ->
     f:int ->
     m:int ->

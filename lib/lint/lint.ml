@@ -44,8 +44,7 @@
 
    Findings are compared against a committed baseline keyed by
    (rule, file, message) — line numbers shift too easily — so CI fails
-   only on regressions. The JSON report schema is shared with the
-   --certify-independence runtime layer: both emit
+   only on regressions. The JSON report is
    {tool; findings: [{rule; file; line; col; message}]; total; fresh}. *)
 
 module J = Rsim_obs.Obs.Json

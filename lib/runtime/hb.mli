@@ -8,8 +8,7 @@
     advances past another fiber's events only when it reads a location
     the other fiber published, which makes "q observed p's write" a
     pointwise array comparison. {!Rsim_explore.Explore} builds its [race]
-    oracle and its sleep-set-prune certification on this module
-    (DESIGN §10). *)
+    oracle on this module (DESIGN §10). *)
 
 (** A vector clock of dimension = number of fibers. *)
 type clock = int array

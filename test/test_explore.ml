@@ -5,11 +5,8 @@ open Rsim_explore
 
 module Faults = Rsim_faults.Faults
 
-let get_builtin ?inject ?faults ?oracles ?unsound_indep name ~f ~m =
-  match
-    Explore.Aug_target.builtin ?inject ?faults ?oracles ?unsound_indep ~name
-      ~f ~m ()
-  with
+let get_builtin ?inject ?faults ?oracles name ~f ~m =
+  match Explore.Aug_target.builtin ?inject ?faults ?oracles ~name ~f ~m () with
   | Some w -> w
   | None -> Alcotest.failf "unknown builtin workload %s" name
 
@@ -29,9 +26,7 @@ let test_theorem20_exhaustive () =
   let w = get_builtin "bu-conflict" ~f:2 ~m:2 in
   (* Pruning off: this test is about enumerating the literal full space,
      so the coverage thresholds below count every interleaving. *)
-  let rep =
-    Explore.exhaustive ~max_steps:10 ~dedup:false ~independence:false w
-  in
+  let rep = Explore.exhaustive ~max_steps:10 ~dedup:false w in
   Alcotest.(check (list (list int)))
     "no violations over all schedules" []
     (List.map (fun v -> v.Explore.script) rep.Explore.violations);
@@ -510,7 +505,7 @@ let test_engine_matches_naive () =
     let naive = Explore.exhaustive_naive ~max_steps:9 ~max_violations:10_000 w in
     let engine =
       Explore.exhaustive ~max_steps:9 ~max_violations:10_000 ~domains:1
-        ~dedup:false ~independence:false w
+        ~dedup:false w
     in
     Alcotest.(check (triple int int int))
       (name ^ ": counts match naive") (counts naive) (counts engine);
@@ -526,7 +521,7 @@ let test_domain_count_invariance () =
      at 1, 2 and 4 domains — counts and violation set both. *)
   let run w d =
     Explore.exhaustive ~max_steps:9 ~max_violations:10_000 ~domains:d
-      ~dedup:false ~independence:false w
+      ~dedup:false w
   in
   let invariant name w =
     let r1 = run w 1 in
@@ -545,27 +540,54 @@ let test_domain_count_invariance () =
   invariant "seeded" (seeded_workload ())
 
 let test_dedup_soundness () =
-  (* State dedup and sleep-set independence may only cut redundant
-     branches: the injected bug must still be caught with both on (the
-     defaults), and the pruned tree must be domain-count invariant too
-     (exactly one winner per claim key, so the cuts are deterministic). *)
-  let run d = Explore.exhaustive ~max_steps:10 ~domains:d (seeded_workload ()) in
-  let rep = run 1 in
-  Alcotest.(check bool) "bug caught with pruning on" true
-    (rep.Explore.violations <> []);
+  (* State dedup may only cut redundant branches: the injected bug must
+     still be caught with it on (the default), and since exactly one
+     task wins each claim key the cuts, and so every count, are the same
+     at any domain count. Which task wins does decide which prefix
+     reaches a state first, so violation scripts are only compared
+     between single-domain runs (whose frontier order is fixed); the
+     full no-early-stop budget keeps every run exploring the whole
+     tree. *)
+  let run d =
+    Explore.exhaustive ~max_steps:10 ~max_violations:10_000 ~domains:d
+      (seeded_workload ())
+  in
+  let all_counts (r : Explore.exhaustive_report) =
+    [
+      r.Explore.prefixes;
+      r.Explore.complete;
+      r.Explore.truncated;
+      r.Explore.dedup_hits;
+    ]
+  in
+  let caught d (r : Explore.exhaustive_report) =
+    Alcotest.(check bool)
+      (Printf.sprintf "bug caught with dedup on at %d domains" d)
+      true
+      (r.Explore.violations <> []);
+    List.iter
+      (fun v ->
+        Alcotest.(check bool) "blames Theorem 20" true
+          (any_error ~sub:"theorem20" v.Explore.errors))
+      r.Explore.violations
+  in
+  let r1 = run 1 in
   Alcotest.(check bool)
-    (Printf.sprintf "pruning actually fired (%d dedup hits, %d sleep prunes)"
-       rep.Explore.dedup_hits rep.Explore.pruned)
+    (Printf.sprintf "dedup actually fired (%d hits)" r1.Explore.dedup_hits)
     true
-    (rep.Explore.dedup_hits > 0);
+    (r1.Explore.dedup_hits > 0);
+  caught 1 r1;
   List.iter
-    (fun v ->
-      Alcotest.(check bool) "blames Theorem 20" true
-        (any_error ~sub:"theorem20" v.Explore.errors))
-    rep.Explore.violations;
-  let r4 = run 4 in
+    (fun d ->
+      let r = run d in
+      Alcotest.(check (list int))
+        (Printf.sprintf "counts at %d domains" d)
+        (all_counts r1) (all_counts r);
+      caught d r)
+    [ 2; 4 ];
   Alcotest.(check (list (list int)))
-    "pruned violation set invariant at 4 domains" (scripts rep) (scripts r4)
+    "violation scripts identical across 1-domain runs" (scripts r1)
+    (scripts (run 1))
 
 let test_sweep_domain_clamp () =
   (* Tiny budgets must not spawn idle domains. *)
@@ -594,7 +616,7 @@ let test_linearizable_oracle_exhaustive () =
   Alcotest.(check bool) "covered executions" true
     (rep.Explore.complete + rep.Explore.truncated > 50)
 
-(* ---- happens-before race oracle + sleep-set certification ---- *)
+(* ---- happens-before race oracle ---- *)
 
 let test_race_oracle_catches () =
   (* [Skip_yield_check] makes a Block-Update return Atomic even when a
@@ -630,56 +652,10 @@ let test_race_oracle_clean () =
   let w =
     get_builtin ~oracles:[ Explore.Aug_target.race ] "bu-conflict" ~f:2 ~m:2
   in
-  let rep =
-    Explore.exhaustive ~max_steps:10 ~dedup:false ~independence:false w
-  in
+  let rep = Explore.exhaustive ~max_steps:10 ~dedup:false w in
   Alcotest.(check int) "race-free" 0 (List.length rep.Explore.violations);
   Alcotest.(check bool) "covered the space" true
     (rep.Explore.complete + rep.Explore.truncated >= 500)
-
-let test_certify_clean () =
-  (* --certify-independence over the Theorem 20 workload: every claimed
-     commutation must validate. bu-conflict never claims (conflicting
-     appends are never independent); bu-then-scan does, so it pins
-     checks > 0. *)
-  let rep =
-    Explore.exhaustive ~max_steps:12 ~certify:true
-      (get_builtin "bu-conflict" ~f:2 ~m:2)
-  in
-  Alcotest.(check int) "no violations" 0 (List.length rep.Explore.violations);
-  Alcotest.(check int) "zero HB violations" 0 rep.Explore.certify_violations;
-  let rep' =
-    Explore.exhaustive ~max_steps:12 ~certify:true
-      (get_builtin "bu-then-scan" ~f:2 ~m:2)
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "disjoint workload exercises claims (%d checks)"
-       rep'.Explore.certify_checks)
-    true
-    (rep'.Explore.certify_checks > 0);
-  Alcotest.(check int) "and they all validate" 0
-    rep'.Explore.certify_violations
-
-let test_certify_catches_unsound_indep () =
-  (* The deliberately wrong relation "any two distinct pids commute"
-     makes the engine sleep conflicting Block-Updates on each other;
-     certification must observe their real footprints (appends to the
-     same component) and count violations. *)
-  let rep =
-    Explore.exhaustive ~max_steps:12 ~certify:true
-      (get_builtin ~unsound_indep:true "bu-conflict" ~f:2 ~m:2)
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "unsound prunes detected (%d/%d claims)"
-       rep.Explore.certify_violations rep.Explore.certify_checks)
-    true
-    (rep.Explore.certify_violations > 0);
-  (* off switch: the same workload without certification reports zeros *)
-  let rep' =
-    Explore.exhaustive ~max_steps:12
-      (get_builtin ~unsound_indep:true "bu-conflict" ~f:2 ~m:2)
-  in
-  Alcotest.(check int) "no checks when off" 0 rep'.Explore.certify_checks
 
 let () =
   Alcotest.run "explore"
@@ -709,7 +685,7 @@ let () =
             test_engine_matches_naive;
           Alcotest.test_case "report invariant at 1/2/4 domains" `Quick
             test_domain_count_invariance;
-          Alcotest.test_case "dedup + sleep sets stay sound" `Quick
+          Alcotest.test_case "dedup stays sound" `Quick
             test_dedup_soundness;
         ] );
       ( "sweep",
@@ -756,15 +732,11 @@ let () =
           Alcotest.test_case "BU vs Scan histories" `Quick
             test_linearizable_oracle_exhaustive;
         ] );
-      ( "race + certify",
+      ( "race",
         [
           Alcotest.test_case "race oracle catches skip-yield-check" `Quick
             test_race_oracle_catches;
           Alcotest.test_case "race oracle clean on the clean object" `Quick
             test_race_oracle_clean;
-          Alcotest.test_case "certify-independence clean on Theorem 20" `Quick
-            test_certify_clean;
-          Alcotest.test_case "certify catches an unsound independence" `Quick
-            test_certify_catches_unsound_indep;
         ] );
     ]
