@@ -48,7 +48,7 @@ let preemptions_of script =
 type probe_view = {
   step : int;
   live : int list;
-  fingerprint : (int * int) option;
+  fingerprint : unit -> (int * int) option;
 }
 
 type probe = probe_view -> [ `Continue | `Stop ]
@@ -337,20 +337,9 @@ let exhaustive ?(max_steps = 64) ?preemption_bound ?(max_violations = 1)
      (stall windows, restart delays) the fingerprint cannot see, so
      dedup is unsound there and switches itself off. *)
   let dedup = dedup && w.faults = None in
-  (* Sharded claim table: a state key is claimed by exactly one task;
-     everyone else is pruned. *)
-  let shards =
-    (Array.init 64 (fun _ -> (Mutex.create (), Hashtbl.create 251))
-    [@rsim.shared "each shard's table is only touched under its mutex"])
-  in
-  let claim key =
-    let mu, tbl = shards.(Hashtbl.hash key land 63) in
-    Mutex.lock mu;
-    let fresh = not (Hashtbl.mem tbl key) in
-    if fresh then Hashtbl.add tbl key ();
-    Mutex.unlock mu;
-    fresh
-  in
+  (* A state key is claimed by exactly one task; everyone else is
+     pruned. *)
+  let claims = Claim_table.create () in
   (* Shared LIFO frontier: a mutex-and-condition chunked queue. [pop]
      blocks while tasks are in flight (they may push children); the last
      domain to drain it broadcasts termination. *)
@@ -467,15 +456,15 @@ let exhaustive ?(max_steps = 64) ?preemption_bound ?(max_violations = 1)
         let fresh =
           (not dedup)
           ||
-          match pv.fingerprint with
+          match pv.fingerprint () with
           | None -> true
           | Some (f1, f2) ->
-            let benc =
+            let bound =
               match preemption_bound with
               | None -> -1
               | Some _ -> (!preempts * 64) + !last + 1
             in
-            if claim (f1, f2, pv.step, benc) then true
+            if Claim_table.claim claims f1 f2 ~depth:pv.step ~bound then true
             else begin
               Atomic.incr n_dedup;
               Obs.Metrics.incr m_dedup;
@@ -1118,7 +1107,7 @@ module Aug_target = struct
       let fprobe =
         Option.map
           (fun p ~step ~live ~pending:_ ->
-            p { step; live; fingerprint = Some (fingerprint live) })
+            p { step; live; fingerprint = (fun () -> Some (fingerprint live)) })
           probe
       in
       let result =
@@ -1339,7 +1328,8 @@ module Harness_target = struct
          still shares prefixes but never dedups. *)
       let fprobe =
         Option.map
-          (fun p ~step ~live ~pending:_ -> p { step; live; fingerprint = None })
+          (fun p ~step ~live ~pending:_ ->
+            p { step; live; fingerprint = (fun () -> None) })
           probe
       in
       let result =

@@ -37,11 +37,17 @@ open Rsim_shmem
     probed execution: the decision index, the schedulable pids, and a
     canonical state fingerprint (two independently-mixed digests of the
     shared state and every fiber's operation/result history; [None] when
-    the workload cannot fingerprint soundly). *)
+    the workload cannot fingerprint soundly).
+
+    The fingerprint is a thunk: {!exhaustive} forces it only where it
+    claims states — past the replayed prefix of each frontier task, with
+    dedup on — so the replayed steps, the bulk of every probed
+    execution, never pay for folding the digests. Forcing it reads the
+    state at that decision; a probe must not keep it for later. *)
 type probe_view = {
   step : int;
   live : int list;
-  fingerprint : (int * int) option;
+  fingerprint : unit -> (int * int) option;
 }
 
 (** Returning [`Stop] ends the execution at that decision point. *)
@@ -263,7 +269,8 @@ module Aug_target : sig
       them) on every call. [faults] is a fault-plane profile compiled
       afresh (fire-once state and all) on every execution, so replays are
       deterministic. Executions maintain rolling state digests, so the
-      exploration engine's probe always gets a fingerprint. *)
+      exploration engine's probe always gets a fingerprint (folded from
+      them only when forced). *)
   val workload :
     ?oracles:exec Oracle.t list ->
     ?inject:Rsim_augmented.Aug.fault ->

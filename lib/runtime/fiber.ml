@@ -67,6 +67,13 @@ module Make (M : OPS) = struct
 
   type slot = Fresh | Suspended of suspended | Finished of status
 
+  (* Raised into a suspended fiber that will never be resumed, so its
+     stack unwinds and is freed: the runtime never frees the stack of a
+     continuation that is dropped without being resumed. *)
+  exception Unwound
+
+  let unwind resume = discontinue resume Unwound
+
   let start_fiber pid body slots =
     (* Run [body pid] until its first Op, completion, or exception. *)
     match_with
@@ -242,10 +249,14 @@ module Make (M : OPS) = struct
                 discontinue resume e
               | Crash ->
                 event (Ev_crash { pid; at = !total; restarting = false });
+                (* Unwinding ends in [start_fiber]'s [exnc], which writes
+                   [Failed]; the crash status overwrites it. *)
+                unwind resume;
                 slots.(pid) <- Finished Crashed
               | Crash_restart { delay } ->
                 let restarting = incarnations.(pid) < max_restarts in
                 event (Ev_crash { pid; at = !total; restarting });
+                unwind resume;
                 slots.(pid) <- Finished Crashed;
                 if restarting then restart_due.(pid) <- !clock + max 1 delay
               | Stall { steps } ->
@@ -264,6 +275,13 @@ module Make (M : OPS) = struct
           | Fresh -> Done)
         slots
     in
+    (* Fibers still suspended are never resumed: unwind them now that
+       their [Pending] status is recorded. *)
+    Array.iter
+      (function
+        | Suspended { resume; _ } -> unwind resume
+        | Fresh | Finished _ -> ())
+      slots;
     {
       statuses;
       trace = List.rev !rev_trace;

@@ -108,6 +108,14 @@ module Make (M : OPS) : sig
       Stops when no fiber is pending or due to wake, the schedule is
       exhausted, or [max_ops] operations have executed.
 
+      A fiber that will never be resumed — one still suspended when the
+      run stops (reported {!Pending}), or one crashed by a {!Crash} /
+      {!Crash_restart} directive (reported {!Crashed}) — is unwound with
+      an exception private to this module, so its stack is freed and its
+      [Fun.protect ~finally] handlers run. Such a handler runs outside
+      the schedule: it must not perform operations, and a body must not
+      catch that exception and carry on.
+
       [obs_label] names each operation in the emitted trace (default
       ["op"]); pass e.g. {!Rsim_augmented.Aug.op_name} for readable
       per-operation lanes in [chrome://tracing].

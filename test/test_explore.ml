@@ -589,6 +589,127 @@ let test_dedup_soundness () =
     "violation scripts identical across 1-domain runs" (scripts r1)
     (scripts (run 1))
 
+(* ---- the claim table ---- *)
+
+let claim t (f1, f2, depth, bound) = Claim_table.claim t f1 f2 ~depth ~bound
+
+let claim_all t keys = List.for_all (claim t) keys
+let claim_none t keys = not (List.exists (claim t) keys)
+
+(* The first [n] keys [(i, 2i + 1, 5, -1)] accepted by [keep]. *)
+let keys_where ~n keep =
+  let rec go i k acc =
+    if k = n then List.rev acc
+    else
+      let key = (i, (2 * i) + 1, 5, -1) in
+      if keep key then go (i + 1) (k + 1) (key :: acc)
+      else go (i + 1) k acc
+  in
+  go 0 0 []
+
+let test_claim_colliding_keys () =
+  let check name keys =
+    let t = Claim_table.create () in
+    Alcotest.(check bool) (name ^ ": every key fresh once") true
+      (claim_all t keys);
+    Alcotest.(check bool) (name ^ ": every key taken after") true
+      (claim_none t keys);
+    Alcotest.(check int) (name ^ ": length") (List.length keys)
+      (Claim_table.length t)
+  in
+  (* Raw digests equal in their low 40 bits: a table that read stripe
+     and slot from the digests' low bits would chain them all. *)
+  check "shared low digest bits"
+    (List.init 2000 (fun i -> (i lsl 40, (i + 1) lsl 40, 7, -1)));
+  let stripe (f1, f2, depth, bound) =
+    Claim_table.stripe_of f1 f2 ~depth ~bound
+  in
+  let slot capacity (f1, f2, depth, bound) =
+    Claim_table.slot_of f1 f2 ~depth ~bound ~capacity
+  in
+  (* One stripe, one home slot: a single linear-probing run. *)
+  check "same stripe, same home slot"
+    (keys_where ~n:30 (fun k -> stripe k = 0 && slot 64 k = 0));
+  check "same stripe" (keys_where ~n:3000 (fun k -> stripe k = 17))
+
+let test_claim_growth () =
+  let t = Claim_table.create () in
+  let initial = Claim_table.capacity t in
+  let keys = keys_where ~n:50_000 (fun _ -> true) in
+  Alcotest.(check bool) "all fresh" true (claim_all t keys);
+  let cap = Claim_table.capacity t in
+  Alcotest.(check bool)
+    (Printf.sprintf "several doublings (%d -> %d slots)" initial cap)
+    true
+    (cap >= 8 * initial);
+  Alcotest.(check bool) "at most half full" true
+    (2 * Claim_table.length t <= cap);
+  Alcotest.(check bool) "every key survives the rehashes" true
+    (claim_none t keys);
+  Alcotest.(check bool) "a new key is still fresh" true
+    (claim t (-3, -4, 0, -1))
+
+let test_claim_exact_keys () =
+  (* Equal digests but different depth or bound-state are different
+     states; so are swapped digests. *)
+  let t = Claim_table.create () in
+  let f1 = 0x2a2a2a2a and f2 = 0x5b5b5b5b in
+  let keys =
+    List.concat_map
+      (fun depth ->
+        List.map (fun bound -> (f1, f2, depth, bound)) [ -1; 0; 1; 65; 130 ])
+      [ 0; 1; 2; 64 ]
+  in
+  Alcotest.(check bool) "depth and bound-state keep keys apart" true
+    (claim_all t keys);
+  Alcotest.(check bool) "swapped digests are another key" true
+    (claim t (f2, f1, 0, -1));
+  Alcotest.(check bool) "f2 alone differs" true (claim t (f1, f2 + 1, 0, -1));
+  Alcotest.(check bool) "repeats are taken" true (claim_none t keys);
+  Alcotest.check_raises "negative depth refused"
+    (Invalid_argument "Claim_table.claim: negative depth") (fun () ->
+      ignore (claim t (f1, f2, -1, -1)))
+
+let test_claim_two_domains () =
+  (* Two domains race over the same keys: every key is won exactly once. *)
+  let n = 100_000 in
+  let t = Claim_table.create () in
+  let race () =
+    let won = Array.make n false in
+    for i = 0 to n - 1 do
+      won.(i) <- claim t (i * 0x10001, i, i land 15, -1)
+    done;
+    won
+  in
+  let other = Domain.spawn race in
+  let mine = race () in
+  let theirs = Domain.join other in
+  let once = ref 0 in
+  Array.iteri (fun i w -> if w <> theirs.(i) then incr once) mine;
+  Alcotest.(check int) "each key won by exactly one domain" n !once;
+  Alcotest.(check int) "length" n (Claim_table.length t)
+
+let test_dedup_counts_pinned () =
+  (* The dedup counts of a tree big enough to stress the claim table,
+     fixed at 1 and 2 domains. *)
+  List.iter
+    (fun d ->
+      let r =
+        Explore.exhaustive ~max_steps:12 ~domains:d
+          (get_builtin "bu-conflict" ~f:3 ~m:2)
+      in
+      Alcotest.(check (list int))
+        (Printf.sprintf "prefixes, complete, truncated, dedup hits at %d \
+                         domains" d)
+        [ 61_623; 0; 35_446; 6_268 ]
+        [
+          r.Explore.prefixes;
+          r.Explore.complete;
+          r.Explore.truncated;
+          r.Explore.dedup_hits;
+        ])
+    [ 1; 2 ]
+
 let test_sweep_domain_clamp () =
   (* Tiny budgets must not spawn idle domains. *)
   let rep =
@@ -687,6 +808,16 @@ let () =
             test_domain_count_invariance;
           Alcotest.test_case "dedup stays sound" `Quick
             test_dedup_soundness;
+          Alcotest.test_case "dedup counts pinned (f=3, 12 steps)" `Quick
+            test_dedup_counts_pinned;
+        ] );
+      ( "claim table",
+        [
+          Alcotest.test_case "colliding keys" `Quick test_claim_colliding_keys;
+          Alcotest.test_case "growth" `Quick test_claim_growth;
+          Alcotest.test_case "exact keys" `Quick test_claim_exact_keys;
+          Alcotest.test_case "two domains, one winner per key" `Quick
+            test_claim_two_domains;
         ] );
       ( "sweep",
         [

@@ -274,6 +274,44 @@ let test_faults_determinism () =
   in
   Alcotest.(check bool) "deterministic under faults" true (go () = go ())
 
+(* Fibers that are never resumed are unwound, so their stacks are freed:
+   a [Fun.protect ~finally] in the body runs, however the run dropped
+   the fiber, and the reported status is what it always was. *)
+let test_dropped_fibers_unwound () =
+  let unwound = ref [] in
+  let body pid =
+    Fun.protect
+      ~finally:(fun () -> unwound := pid :: !unwound)
+      (fun () -> for _ = 1 to 100 do increment () done)
+  in
+  let stopped_by name ?(unwinds = [ 0; 1 ]) ?max_ops ?probe ?control expect =
+    unwound := [];
+    let _, apply = make_counter () in
+    let result =
+      F.run ?max_ops ?probe ?control ~sched:Schedule.round_robin ~apply
+        [ body; body ]
+    in
+    Alcotest.(check (list int))
+      (name ^ ": every dropped body unwound") unwinds
+      (List.sort compare !unwound);
+    Alcotest.(check bool)
+      (name ^ ": statuses unchanged") true
+      (Array.to_list result.F.statuses = expect)
+  in
+  stopped_by "probe"
+    ~probe:(fun ~step ~live:_ ~pending:_ ->
+      if step >= 5 then `Stop else `Continue)
+    [ Fiber.Pending; Fiber.Pending ];
+  stopped_by "max_ops" ~max_ops:7 [ Fiber.Pending; Fiber.Pending ];
+  stopped_by "crash directive" ~max_ops:20
+    ~control:(control_at ~pid:0 ~nth:3 Fiber.Crash)
+    [ Fiber.Crashed; Fiber.Pending ];
+  (* pid 1's first incarnation is unwound at the crash, its second at
+     the end of the run. *)
+  stopped_by "crash-restart directive" ~unwinds:[ 0; 1; 1 ] ~max_ops:20
+    ~control:(control_at ~pid:1 ~nth:2 (Fiber.Crash_restart { delay = 1 }))
+    [ Fiber.Pending; Fiber.Pending ]
+
 let prop_total_equals_sum =
   QCheck.Test.make ~name:"total ops = sum of per-fiber ops" ~count:50
     QCheck.(pair (int_bound 1000) (int_range 1 4))
@@ -316,6 +354,8 @@ let () =
           Alcotest.test_case "raise directive" `Quick test_directive_raise;
           Alcotest.test_case "determinism under faults" `Quick
             test_faults_determinism;
+          Alcotest.test_case "dropped fibers unwound" `Quick
+            test_dropped_fibers_unwound;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest [ prop_total_equals_sum ]);
     ]
