@@ -320,6 +320,15 @@ let build_workload ~workload ~f ~m ~n ~d ~inject ~faults ~seed =
              (String.concat ", "
                 (Explore.Aug_target.builtin_names @ [ "racing" ])))))
 
+(* The engines refuse bounds below 1 (a vacuous green run otherwise);
+   name the offending flag before they do. *)
+let check_bounds ~max_steps ~max_violations ~budget =
+  if max_steps < 0 then
+    Error "--max-steps must be at least 0 (0 picks the mode's default)"
+  else if max_violations < 1 then Error "--max-violations must be at least 1"
+  else if budget < 1 then Error "--budget must be at least 1"
+  else Ok ()
+
 let explore_cmd =
   let workload =
     Arg.(
@@ -405,7 +414,10 @@ let explore_cmd =
   in
   let run workload f m n d mode max_steps preemption_bound budget domains
       no_dedup seed inject faults max_violations out metrics trace_out =
-    match build_workload ~workload ~f ~m ~n ~d ~inject ~faults ~seed with
+    match
+      Result.bind (check_bounds ~max_steps ~max_violations ~budget) (fun () ->
+          build_workload ~workload ~f ~m ~n ~d ~inject ~faults ~seed)
+    with
     | Error e ->
       Log.err (fun k -> k "explore: %s" e);
       exit 2
@@ -464,7 +476,7 @@ let explore_cmd =
            Cmd.Exit.info 2
              ~doc:
                "the workload could not be built (unknown name, bad seeded bug \
-                or fault profile).";
+                or fault profile), or a bound is out of range.";
            Cmd.Exit.info Cmd.Exit.cli_error ~doc:"command-line parse error.";
          ])
     Term.(
@@ -601,7 +613,7 @@ let lint_cmd =
     Arg.(
       value & opt string "."
       & info [ "root" ] ~docv:"DIR"
-          ~doc:"Workspace root to scan (lib/, bin/, bench/, dev/ under it).")
+          ~doc:"Workspace root to scan (lib/, bin/, dev/ under it).")
   in
   let baseline =
     Arg.(

@@ -2,8 +2,8 @@
 
     Each row compares the paper's lower bound with the best known upper
     bound, marking where they are tight. Rendered as aligned plain-text
-    tables by the [print_*] functions (used by the CLI, the benchmark
-    harness and EXPERIMENTS.md). *)
+    tables by the [print_*] functions (used by the CLI and
+    EXPERIMENTS.md). *)
 
 type kset_row = {
   n : int;

@@ -2,7 +2,7 @@
 
     Every experiment is deterministic: all randomness flows from the
     fixed seeds passed here, so the tables in EXPERIMENTS.md are exactly
-    reproducible with [dune exec bench/main.exe]. *)
+    reproducible with [rsim experiments]. *)
 
 open Core
 

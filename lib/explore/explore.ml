@@ -218,6 +218,17 @@ let record_violation w ~max_steps acc ~script ~errors =
 (* Exhaustive enumeration                                            *)
 (* ---------------------------------------------------------------- *)
 
+(* A bound below 1 would make a vacuous green run — no execution, or a
+   violation budget spent before the first counterexample is kept — so
+   the engines refuse it. *)
+let require_positive engine bounds =
+  List.iter
+    (fun (name, v) ->
+      if v < 1 then
+        invalid_arg
+          (Printf.sprintf "Explore.%s: %s must be at least 1" engine name))
+    bounds
+
 type exhaustive_report = {
   complete : int;
   truncated : int;
@@ -227,77 +238,6 @@ type exhaustive_report = {
   domains : int;
   violations : violation list;
 }
-
-(* The pre-parallel engine, kept verbatim as the measurement baseline
-   for [bench --explore-only]: a single-domain DFS that re-executes
-   every schedule prefix from scratch (effect continuations are
-   one-shot) — O(L²) executions per leaf — and re-executes each leaf a
-   second time to judge it. Prefix accumulation is reverse-consed (one
-   [List.rev] per execution) instead of the former O(n) [@ [pid]]. *)
-let exhaustive_naive ?(max_steps = 64) ?preemption_bound ?(max_violations = 1)
-    w =
-  let complete = ref 0 in
-  let truncated = ref 0 in
-  let prefixes = ref 0 in
-  let executions = ref 0 in
-  let violations = ref [] in
-  let stop = ref false in
-  let leaf ~cut script =
-    if cut then incr truncated else incr complete;
-    Obs.Metrics.observe h_preempt (preemptions_of script);
-    incr executions;
-    let out = replay w ~max_steps ~script in
-    if out.errors <> [] then begin
-      violations :=
-        record_violation w ~max_steps !violations ~script:out.script
-          ~errors:out.errors;
-      if List.length !violations >= max_violations then stop := true
-    end
-  in
-  (* DFS over schedule prefixes. [last] is the pid of the previous step,
-     [preempts] the context switches away from a still-live fiber so
-     far. *)
-  let rec go rev_script nsteps preempts last =
-    if not !stop then begin
-      incr prefixes;
-      incr executions;
-      Obs.Metrics.incr m_execs;
-      let script = List.rev rev_script in
-      let out =
-        w.exec ~probe:None ~certify:false ~sched:(Schedule.script script)
-          ~max_ops:max_steps ~check:false
-      in
-      if out.live = [] then leaf ~cut:false script
-      else if nsteps >= max_steps then leaf ~cut:true script
-      else begin
-        let choices =
-          match preemption_bound with
-          | Some b when preempts >= b && last >= 0 && List.mem last out.live ->
-            [ last ]
-          | _ -> out.live
-        in
-        List.iter
-          (fun pid ->
-            let preempts' =
-              if last >= 0 && pid <> last && List.mem last out.live then
-                preempts + 1
-              else preempts
-            in
-            go (pid :: rev_script) (nsteps + 1) preempts' pid)
-          choices
-      end
-    end
-  in
-  go [] 0 0 (-1);
-  {
-    complete = !complete;
-    truncated = !truncated;
-    prefixes = !prefixes;
-    executions = !executions;
-    dedup_hits = 0;
-    domains = 1;
-    violations = List.rev !violations;
-  }
 
 (* A frontier entry: a schedule prefix (reverse-consed decisions) to
    re-execute and expand. [origin] is the pushing domain, for steal
@@ -328,6 +268,8 @@ type frontier_task = {
    domain-count invariant too. *)
 let exhaustive ?(max_steps = 64) ?preemption_bound ?(max_violations = 1)
     ?domains ?(dedup = true) w =
+  require_positive "exhaustive"
+    [ ("max_steps", max_steps); ("max_violations", max_violations) ];
   let domains =
     match domains with
     | Some d -> max 1 d
@@ -657,6 +599,12 @@ let gen_sched ~n_procs ~max_steps ~seed =
     Schedule.script (gen g (2 * max_steps) [])
 
 let sweep ?domains ?(max_steps = 200) ?(max_violations = 1) ~budget ~seed w =
+  require_positive "sweep"
+    [
+      ("max_steps", max_steps);
+      ("max_violations", max_violations);
+      ("budget", budget);
+    ];
   let domains =
     match domains with
     | Some d -> max 1 d

@@ -134,25 +134,17 @@ type exhaustive_report = {
     invariant too. Stops early (atomically, across all domains) after
     [max_violations] (default 1) raw violations; the raw set is then
     merged deterministically (shortest script first), shrunk, and
-    deduplicated. *)
+    deduplicated.
+
+    @raise Invalid_argument if [max_steps] or [max_violations] is below
+    1: such a run would explore nothing, or stop before keeping any
+    counterexample, and still report no violations. *)
 val exhaustive :
   ?max_steps:int ->
   ?preemption_bound:int ->
   ?max_violations:int ->
   ?domains:int ->
   ?dedup:bool ->
-  workload ->
-  exhaustive_report
-
-(** The pre-parallel engine, kept as the measurement baseline for
-    [bench --explore-only]: a single-domain DFS that re-executes every
-    schedule prefix from scratch (O(L²) executions per leaf) and
-    re-executes each leaf once more to judge it. Same report shape, with
-    [dedup_hits] 0 and [domains] 1. *)
-val exhaustive_naive :
-  ?max_steps:int ->
-  ?preemption_bound:int ->
-  ?max_violations:int ->
   workload ->
   exhaustive_report
 
@@ -171,7 +163,10 @@ type sweep_report = {
     ([Schedule.among]) and random scripts. Executions are capped at
     [max_steps] (default 200) operations. Violations are shrunk and
     deduplicated in the calling domain; workers stop early once
-    [max_violations] (default 1) have been found. *)
+    [max_violations] (default 1) have been found.
+
+    @raise Invalid_argument if [max_steps], [max_violations] or [budget]
+    is below 1. *)
 val sweep :
   ?domains:int ->
   ?max_steps:int ->

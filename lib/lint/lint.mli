@@ -12,7 +12,8 @@
       Mutable record fields declared in spawning modules likewise.
     - {b R2} no direct printing ([Printf.printf] / [print_*] /
       [prerr_*] / [Format.printf]) in [lib/]; diagnostics go through
-      {!Rsim_obs.Obs.Log}.
+      {!Rsim_obs.Obs.Log}, whose own module (the top-level [Log] of
+      [lib/obs/obs.ml]) is the only exemption.
     - {b R3} no ambient nondeterminism ([Random.*],
       [Unix.gettimeofday], [Unix.time], [Sys.time]) in the
       deterministic paths ([lib/runtime], [lib/augmented],
@@ -44,7 +45,7 @@ val lint_file : root:string -> file:string -> finding list
 val lint_source : file:string -> string -> finding list
 
 (** The [.ml] files a scan would visit, sorted (default dirs:
-    [lib bin bench dev], skipping [_build]-style directories). *)
+    [lib bin dev], skipping [_build]-style directories). *)
 val files : ?dirs:string list -> root:string -> unit -> string list
 
 (** Walk the workspace and apply every rule, including R5. Findings are

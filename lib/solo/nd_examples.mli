@@ -1,7 +1,7 @@
 (** Example nondeterministic solo-terminating protocols (§5 inputs).
 
     These are the protocols fed to {!Derandomize.convert} in tests,
-    examples, and benchmarks. *)
+    examples and experiments. *)
 
 
 (** Two-process nondeterministic ("coin-flip") consensus on two

@@ -497,12 +497,12 @@ let seeded_workload () =
 
 let test_engine_matches_naive () =
   (* With pruning off and one domain the parallel engine must walk the
-     exact tree the pre-PR sequential DFS walked: same complete and
-     truncated counts, same prefix count, same violation set. The huge
-     [max_violations] keeps both engines from stopping early, so the
-     traversals are comparable. *)
+     exact tree the sequential reference DFS ([Naive_dfs]) walks: same
+     complete and truncated counts, same prefix count, same violation
+     set. The huge [max_violations] keeps both engines from stopping
+     early, so the traversals are comparable. *)
   let check name w =
-    let naive = Explore.exhaustive_naive ~max_steps:9 ~max_violations:10_000 w in
+    let naive = Naive_dfs.exhaustive ~max_steps:9 ~max_violations:10_000 w in
     let engine =
       Explore.exhaustive ~max_steps:9 ~max_violations:10_000 ~domains:1
         ~dedup:false w
@@ -721,6 +721,34 @@ let test_sweep_domain_clamp () =
     (rep.Explore.domains <= 2);
   Alcotest.(check int) "budget honored" 2 rep.Explore.executions
 
+let test_bounds_refused () =
+  (* A bound below 1 used to report a vacuous green run on a workload
+     with a seeded bug: no execution at all, or an early stop after the
+     first raw violation with none kept. Both engines refuse it. *)
+  let w = seeded_workload () in
+  let refused msg f =
+    Alcotest.check_raises msg (Invalid_argument msg) (fun () -> ignore (f ()))
+  in
+  refused "Explore.exhaustive: max_steps must be at least 1" (fun () ->
+      Explore.exhaustive ~max_steps:0 w);
+  refused "Explore.exhaustive: max_steps must be at least 1" (fun () ->
+      Explore.exhaustive ~max_steps:(-3) w);
+  refused "Explore.exhaustive: max_violations must be at least 1" (fun () ->
+      Explore.exhaustive ~max_violations:0 w);
+  refused "Explore.sweep: max_steps must be at least 1" (fun () ->
+      Explore.sweep ~max_steps:(-3) ~budget:10 ~seed:1 w);
+  refused "Explore.sweep: max_violations must be at least 1" (fun () ->
+      Explore.sweep ~max_violations:0 ~budget:10 ~seed:1 w);
+  refused "Explore.sweep: budget must be at least 1" (fun () ->
+      Explore.sweep ~budget:0 ~seed:1 w);
+  refused "Explore.sweep: budget must be at least 1" (fun () ->
+      Explore.sweep ~budget:(-5) ~seed:1 w);
+  (* the smallest accepted bounds still catch the bug *)
+  Alcotest.(check int) "exhaustive, max_violations 1" 1
+    (List.length (Explore.exhaustive ~max_violations:1 w).Explore.violations);
+  Alcotest.(check bool) "sweep, budget 1 runs one schedule" true
+    ((Explore.sweep ~budget:1 ~seed:1 w).Explore.executions = 1)
+
 (* ---- linearizable oracle over full explorations ---- *)
 
 let test_linearizable_oracle_exhaustive () =
@@ -826,6 +854,11 @@ let () =
             test_sweep_finds_seeded_bug;
           Alcotest.test_case "domains clamped to budget" `Quick
             test_sweep_domain_clamp;
+        ] );
+      ( "bounds",
+        [
+          Alcotest.test_case "bounds below 1 refused" `Quick
+            test_bounds_refused;
         ] );
       ( "crash faults",
         [

@@ -44,6 +44,19 @@ let test_r2_zone () =
   let fs = lint_fixture ~as_:"bin/fix.ml" "r2_print.ml" in
   Alcotest.(check (list string)) "printing is fine outside lib/" [] (rules fs)
 
+let test_r2_log_sink () =
+  let lines fs = List.map (fun (f : Lint.finding) -> f.Lint.line) fs in
+  let fs = lint_fixture ~as_:"lib/obs/obs.ml" "r2_log_sink.ml" in
+  Alcotest.(check (list string))
+    "only the top-level Log of obs.ml may print" [ "R2"; "R2" ] (rules fs);
+  Alcotest.(check (list int))
+    "flagged: the print beside Log and the nested Other.Log" [ 13; 17 ]
+    (lines fs);
+  let fs' = lint_fixture ~as_:"lib/obs/other.ml" "r2_log_sink.ml" in
+  Alcotest.(check (list string))
+    "a Log module elsewhere in lib/ is not exempt" [ "R2"; "R2"; "R2"; "R2" ]
+    (rules fs')
+
 let test_r3 () =
   let fs = lint_fixture ~as_:"lib/runtime/fix.ml" "r3_nondet.ml" in
   Alcotest.(check (list string)) "gettimeofday flagged" [ "R3" ] (rules fs);
@@ -117,6 +130,8 @@ let () =
             test_r1_annotated;
           Alcotest.test_case "R2 direct printing" `Quick test_r2;
           Alcotest.test_case "R2 zone gate" `Quick test_r2_zone;
+          Alcotest.test_case "R2 exempts only the Obs.Log sink" `Quick
+            test_r2_log_sink;
           Alcotest.test_case "R3 nondeterminism" `Quick test_r3;
           Alcotest.test_case "R4 partial functions" `Quick test_r4;
           Alcotest.test_case "R5 missing interface" `Quick test_r5;

@@ -561,7 +561,35 @@ let test_default_watchdog_bound () =
   Alcotest.(check bool) "no quarantines on a clean run" true
     (r.Harness.report.Harness.quarantined = []);
   Alcotest.(check int) "budget recorded in the report" b
-    r.Harness.report.Harness.watchdog_budget
+    r.Harness.report.Harness.watchdog_budget;
+  (* Lemma 31's step bound only covers all-covering simulations, so the
+     default takes a generous multiple of it. This grid is how that
+     multiple was sized: clean racing runs across (m, covering, direct)
+     shapes and random schedules must all finish, none quarantined. *)
+  let shapes =
+    [ (1, 1, 0); (1, 1, 1); (2, 1, 0); (2, 2, 0); (2, 1, 1); (3, 1, 0);
+      (3, 2, 1); (3, 3, 1); (2, 3, 1) ]
+  in
+  List.iter
+    (fun (m, cov, d) ->
+      let f = cov + d in
+      let spec =
+        racing_spec ~n:((cov * m) + d) ~m ~f ~d (List.init f (fun p -> i (p + 1)))
+      in
+      for seed = 0 to 200 do
+        let r =
+          Harness.run ~max_ops:500_000 ~sched:(Schedule.random ~seed) spec
+        in
+        if
+          not
+            (r.Harness.all_done && r.Harness.report.Harness.quarantined = [])
+        then
+          Alcotest.failf
+            "clean run m=%d f=%d d=%d seed=%d: all_done=%b, %d quarantined" m f
+            d seed r.Harness.all_done
+            (List.length r.Harness.report.Harness.quarantined)
+      done)
+    shapes
 
 let test_injected_exception_is_a_crash () =
   (* raise@P:K delivers Faults.Injected, which validation treats as a
