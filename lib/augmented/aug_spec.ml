@@ -15,155 +15,203 @@ type litem =
       lin_idx : int;
     }
 
-type bu_kind = Atomic_bu | Yield_bu | Incomplete_bu
-
 (* One Update (a single-component write that is part of a Block-Update),
    as reconstructed from the trace. *)
-type update_item = {
-  u_comp : int;
-  u_value : Value.t;
-  u_ts : Vts.t;
-  u_writer : int;
-  u_x_idx : int;
-  mutable u_lin : int;  (* linearization point (trace index); -1 = unset *)
-  u_kind : bu_kind;
+type update = {
+  comp : int;
+  value : Value.t;
+  ts : Vts.t;
+  writer : int;
+  x_idx : int;  (* its Line-4 append *)
+  lin : int;  (* linearization point (trace index) *)
+  bu : int;
+      (* log position of its Block-Update: the last completed one with its
+         writer and timestamp, or -1 if none completed *)
+  atomic : bool;  (* that Block-Update returned a view *)
 }
 
-(* Reconstruct every Update from the trace (including those of
-   Block-Updates that executed X but never completed), classifying each
-   via [kind_of (pid, ts)]. *)
-let reconstruct_updates ~kind_of trace =
-  let updates = ref [] in
-  List.iter
-    (fun (e : Aug.F.trace_entry) ->
+type item =
+  | U of update
+  | S of { proc : int; view : Value.t array; end_idx : int }
+
+let lin_of_item = function U u -> u.lin | S { end_idx; _ } -> end_idx
+
+(* The linearization of one execution, built in one pass over the trace
+   and one over its appends. Everything is a list: executions are short,
+   a list cell is an inline allocation, and an array costs a runtime call
+   to allocate: an array-based version measured slower per check. *)
+type recon = {
+  appends : Aug.F.trace_entry list;
+      (* the Line-4 appends (triple-appending entries), in trace order;
+         all triples of one append carry its Block-Update's timestamp *)
+  hscans : Aug.F.trace_entry list;  (* the H.scans, newest first *)
+  updates : update list;  (* in trace order *)
+  order : item list;  (* linearization order *)
+  n_incomplete : int;  (* appends whose Block-Update never completed *)
+}
+
+let triples_of (e : Aug.F.trace_entry) =
+  match e.op with
+  | Aug.Ops.Happend_triples trs -> trs
+  | Aug.Ops.Hscan | Aug.Ops.Happend_lrecords _ -> []
+
+(* The triple appends in trace order and the H.scans newest first. *)
+let appends_and_hscans trace =
+  let rec go rev_appends hscans = function
+    | [] -> (List.rev rev_appends, hscans)
+    | (e : Aug.F.trace_entry) :: rest -> (
       match e.op with
-      | Aug.Ops.Happend_triples (({ ts; _ } :: _) as triples) ->
-        let kind = kind_of (e.pid, ts) in
-        List.iter
-          (fun (tr : Hrep.triple) ->
-            updates :=
-              {
-                u_comp = tr.comp;
-                u_value = tr.value;
-                u_ts = tr.ts;
-                u_writer = e.pid;
-                u_x_idx = e.idx;
-                u_lin = -1;
-                u_kind = kind;
-              }
-              :: !updates)
-          triples
-      | Aug.Ops.Happend_triples [] | Aug.Ops.Hscan | Aug.Ops.Happend_lrecords _ ->
-        ())
-    trace;
-  List.rev !updates
+      | Aug.Ops.Hscan -> go rev_appends (e :: hscans) rest
+      | Aug.Ops.Happend_triples (_ :: _) -> go (e :: rev_appends) hscans rest
+      | Aug.Ops.Happend_triples [] | Aug.Ops.Happend_lrecords _ ->
+        go rev_appends hscans rest)
+  in
+  go [] [] trace
+
+(* Whether one of these triples is for component [comp] with timestamp
+   ≽ [ts]. *)
+let rec covers ~comp ~ts = function
+  | [] -> false
+  | (tr : Hrep.triple) :: rest ->
+    (tr.comp = comp && Vts.geq tr.ts ts) || covers ~comp ~ts rest
 
 (* The linearization point of an Update (j, t) is the first trace index
-   at which H contains a triple for component j with timestamp ≽ t.
-   Sweep the trace maintaining the largest timestamp per component. *)
-let assign_lin_points ~m trace updates =
-  let pending = Array.make m [] in
-  List.iter (fun u -> pending.(u.u_comp) <- u :: pending.(u.u_comp)) updates;
-  Array.iteri
-    (fun j us -> pending.(j) <- List.sort (fun a b -> Vts.compare a.u_ts b.u_ts) us)
-    pending;
-  let maxts = Array.make m None in
-  List.iter
-    (fun (e : Aug.F.trace_entry) ->
-      match e.op with
-      | Aug.Ops.Happend_triples triples ->
-        List.iter
-          (fun (tr : Hrep.triple) ->
-            (match maxts.(tr.comp) with
-            | Some t when Vts.geq t tr.ts -> ()
-            | _ -> maxts.(tr.comp) <- Some tr.ts);
-            let rec pop () =
-              match pending.(tr.comp) with
-              | u :: rest
-                when (match maxts.(tr.comp) with
-                     | Some t -> Vts.geq t u.u_ts
-                     | None -> false) ->
-                u.u_lin <- e.idx;
-                pending.(tr.comp) <- rest;
-                pop ()
-              | _ -> ()
-            in
-            pop ())
-          triples
-      | Aug.Ops.Hscan | Aug.Ops.Happend_lrecords _ -> ())
-    trace
+   at which H contains a triple for component j with timestamp ≽ t: the
+   first append of such a triple. The Update's own append is one, so the
+   search ends there at the latest. *)
+let rec lin_point ~comp ~ts ~own = function
+  | [] -> own
+  | (e : Aug.F.trace_entry) :: later ->
+    if covers ~comp ~ts (triples_of e) then e.idx
+    else lin_point ~comp ~ts ~own later
 
-type lin_internal = U of update_item | S of Aug.mop (* always a Scan_op *)
-
-let lin_idx_of = function
-  | U u -> u.u_lin
-  | S (Aug.Scan_op { end_idx; _ }) -> end_idx
-  | S (Aug.Bu_op _) -> assert false
+(* The last completed Block-Update in the log by [pid] with timestamp
+   [ts], as [(position, atomic)]; [(-1, false)] if there is none. *)
+let block_update_of log ~pid ~ts =
+  let rec go pos found = function
+    | [] -> found
+    | Aug.Bu_op { proc; ts = ts'; result; _ } :: rest
+      when proc = pid && Vts.equal ts' ts ->
+      go (pos + 1)
+        (pos, match result with Aug.Atomic _ -> true | Aug.Yield -> false)
+        rest
+    | (Aug.Bu_op _ | Aug.Scan_op _) :: rest -> go (pos + 1) found rest
+  in
+  go 0 (-1, false) log
 
 (* Updates linearized at the same point are ordered by timestamp then
    component (§3.3). Scan and Update points never collide: they sit at
    Hscan and Happend_triples events respectively. *)
-let sort_lin items =
-  let compare_items a b =
-    let c = Int.compare (lin_idx_of a) (lin_idx_of b) in
-    if c <> 0 then c
-    else
-      match (a, b) with
-      | U ua, U ub ->
-        let c = Vts.compare ua.u_ts ub.u_ts in
-        if c <> 0 then c else Int.compare ua.u_comp ub.u_comp
-      | S _, S _ | U _, S _ | S _, U _ -> 0
-  in
-  List.stable_sort compare_items items
+let after a b =
+  let c = Int.compare (lin_of_item a) (lin_of_item b) in
+  if c <> 0 then c > 0
+  else
+    match (a, b) with
+    | U ua, U ub ->
+      let c = Vts.compare ua.ts ub.ts in
+      c > 0 || (c = 0 && ua.comp > ub.comp)
+    | (U _ | S _), _ -> false
 
-let internal_linearize aug trace ~kind_of =
-  let m = Aug.m aug in
-  let scans =
-    List.filter_map
-      (function Aug.Scan_op _ as s -> Some s | Aug.Bu_op _ -> None)
-      (Aug.log aug)
-  in
-  let updates = reconstruct_updates ~kind_of trace in
-  assign_lin_points ~m trace updates;
-  let items = List.map (fun u -> U u) updates @ List.map (fun s -> S s) scans in
-  (sort_lin items, updates)
+(* Stable insertion into a list kept in descending order. Items arrive
+   nearly sorted (Updates in trace order, then Scans in log order), so
+   each lands at or near the head. *)
+let rec insert_desc x = function
+  | y :: rest when after y x -> y :: insert_desc x rest
+  | desc -> x :: desc
+
+let reconstruct trace log =
+  let appends, hscans = appends_and_hscans trace in
+  let desc = ref [] and rev_updates = ref [] and n_incomplete = ref 0 in
+  List.iter
+    (fun (e : Aug.F.trace_entry) ->
+      let triples = triples_of e in
+      let bu, atomic =
+        match triples with
+        | tr :: _ -> block_update_of log ~pid:e.pid ~ts:tr.ts
+        | [] -> (-1, false)
+      in
+      if bu < 0 then incr n_incomplete;
+      List.iter
+        (fun (tr : Hrep.triple) ->
+          let u =
+            {
+              comp = tr.comp;
+              value = tr.value;
+              ts = tr.ts;
+              writer = e.pid;
+              x_idx = e.idx;
+              lin = lin_point ~comp:tr.comp ~ts:tr.ts ~own:e.idx appends;
+              bu;
+              atomic;
+            }
+          in
+          rev_updates := u :: !rev_updates;
+          desc := insert_desc (U u) !desc)
+        triples)
+    appends;
+  List.iter
+    (function
+      | Aug.Scan_op { proc; view; end_idx; _ } ->
+        desc := insert_desc (S { proc; view; end_idx }) !desc
+      | Aug.Bu_op _ -> ())
+    log;
+  {
+    appends;
+    hscans;
+    updates = List.rev !rev_updates;
+    order = List.rev !desc;
+    n_incomplete = !n_incomplete;
+  }
 
 let linearize aug trace =
-  let items, _ = internal_linearize aug trace ~kind_of:(fun _ -> Incomplete_bu) in
   List.map
     (function
       | U u ->
         L_update
           {
-            writer = u.u_writer;
-            ts = u.u_ts;
-            comp = u.u_comp;
-            value = u.u_value;
-            x_idx = u.u_x_idx;
-            lin_idx = u.u_lin;
+            writer = u.writer;
+            ts = u.ts;
+            comp = u.comp;
+            value = u.value;
+            x_idx = u.x_idx;
+            lin_idx = u.lin;
           }
-      | S (Aug.Scan_op { proc; view; end_idx; _ }) -> L_scan { proc; view; end_idx }
-      | S (Aug.Bu_op _) -> assert false)
-    items
+      | S { proc; view; end_idx } -> L_scan { proc; view; end_idx })
+    (reconstruct trace (Aug.log aug)).order
 
 (* The paper's scan-result equality is over update triples (the prefix
    relation of Observation 1), so "the last scan that returns ℓ" means
    the last scan whose result is triple-equal to ℓ. H's triples are
    append-only, so per-component triple counts identify the state. *)
-let window_start ~trace ~last ~x_idx =
-  let profile (s : Hrep.snap) =
-    Array.map (fun c -> List.length c.Hrep.triples) s
+let same_triple_counts (s : Hrep.snap) (last : Hrep.snap) =
+  let rec from c =
+    c >= Array.length s
+    || List.compare_lengths s.(c).Hrep.triples last.(c).Hrep.triples = 0
+       && from (c + 1)
   in
-  let target = profile last in
-  let best = ref None in
-  List.iter
-    (fun (e : Aug.F.trace_entry) ->
-      match (e.op, e.res) with
-      | Aug.Ops.Hscan, Aug.Ops.Snap s when e.idx < x_idx && profile s = target ->
-        best := Some e.idx
-      | _ -> ())
-    trace;
-  !best
+  Array.length s = Array.length last && from 0
+
+(* [hscans] newest first: the first match below [x_idx] is the last. *)
+let rec window_in ~last ~x_idx = function
+  | [] -> None
+  | (e : Aug.F.trace_entry) :: older -> (
+    match e.res with
+    | Aug.Ops.Snap s when e.idx < x_idx && same_triple_counts s last ->
+      Some e.idx
+    | Aug.Ops.Snap _ | Aug.Ops.Ack -> window_in ~last ~x_idx older)
+
+let window_start ~trace ~last ~x_idx =
+  window_in ~last ~x_idx (snd (appends_and_hscans trace))
+
+(* The contents of component [j] of M at trace index [l]: the value of
+   the last Update to [j] linearized before [l], or ⊥. *)
+let value_at order ~l j =
+  let rec go v = function
+    | item :: rest when lin_of_item item < l ->
+      go (match item with U u when u.comp = j -> u.value | U _ | S _ -> v) rest
+    | _ -> v
+  in
+  go Value.Bot order
 
 (* ---------------------------------------------------------------- *)
 (* The checker                                                       *)
@@ -189,119 +237,104 @@ let pp_report fmt r =
     (Format.pp_print_list Format.pp_print_string)
     r.errors
 
+(* The writer of the first Update with timestamp [ts]. *)
+let rec first_writer ~ts = function
+  | [] -> -1
+  | u :: rest -> if Vts.equal u.ts ts then u.writer else first_writer ~ts rest
+
+(* The Block-Update owning the Updates by [proc] with timestamp [ts]
+   (the last completed one with that writer and timestamp), or -1 if no
+   Update has them. *)
+let rec owner ~proc ~ts = function
+  | [] -> -1
+  | u :: rest ->
+    if u.writer = proc && Vts.equal u.ts ts then u.bu else owner ~proc ~ts rest
+
+(* The number of appends strictly inside [(lo, hi)] by processes [pred]
+   accepts. *)
+let appends_between appends ~lo ~hi ~pred =
+  List.fold_left
+    (fun n (e : Aug.F.trace_entry) ->
+      if e.idx > lo && e.idx < hi && pred e.pid then n + 1 else n)
+    0 appends
+
 let check aug trace =
   let m = Aug.m aug in
   let log = Aug.log aug in
+  let { appends; hscans; updates; order; n_incomplete } =
+    reconstruct trace log
+  in
   let errors = ref [] in
   let err fmt = Format.kasprintf (fun s -> errors := s :: !errors) fmt in
 
-  let completed_bu_key = Hashtbl.create 16 in
-  List.iter
-    (function
-      | Aug.Bu_op { proc; ts; result; _ } ->
-        let kind =
-          match result with Aug.Atomic _ -> Atomic_bu | Aug.Yield -> Yield_bu
-        in
-        Hashtbl.replace completed_bu_key (proc, Vts.to_array ts) kind
-      | Aug.Scan_op _ -> ())
-    log;
-  let n_incomplete = ref 0 in
-  let kind_of (pid, ts) =
-    match Hashtbl.find_opt completed_bu_key (pid, Vts.to_array ts) with
-    | Some k -> k
-    | None ->
-      incr n_incomplete;
-      Incomplete_bu
-  in
-  let order, updates = internal_linearize aug trace ~kind_of in
-
-  (* Lemma 9: timestamps of distinct Block-Updates are distinct. *)
-  let ts_seen = Hashtbl.create 16 in
+  (* Lemma 9: timestamps of distinct Block-Updates are distinct. Each
+     Update is held to the writer of the first Update with its
+     timestamp. *)
   List.iter
     (fun u ->
-      let key = Vts.to_array u.u_ts in
-      match Hashtbl.find_opt ts_seen key with
-      | Some writer when writer <> u.u_writer ->
-        err "Lemma 9: timestamp %s used by both q%d and q%d" (Vts.show u.u_ts)
-          writer u.u_writer
-      | _ -> Hashtbl.replace ts_seen key u.u_writer)
-    updates;
-  List.iter
-    (fun u ->
-      if u.u_lin < 0 then
-        err "internal: update to %d by q%d never linearized" u.u_comp u.u_writer)
+      let writer = first_writer ~ts:u.ts updates in
+      if writer <> u.writer then
+        err "Lemma 9: timestamp %s used by both q%d and q%d" (Vts.show u.ts)
+          writer u.writer)
     updates;
 
   (* Corollary 15: replay M along the linearization; every Scan's view
      must match. *)
-  let contents = Array.make m Value.Bot in
-  List.iter
-    (fun item ->
-      match item with
-      | U u -> contents.(u.u_comp) <- u.u_value
-      | S (Aug.Scan_op { proc; view; end_idx; _ }) ->
-        if not (Array.for_all2 Value.equal contents view) then
-          err "Corollary 15: Scan by q%d at idx %d returned a stale view" proc
-            end_idx
-      | S (Aug.Bu_op _) -> assert false)
-    order;
+  if List.exists (function S _ -> true | U _ -> false) order then begin
+    let contents = Array.make m Value.Bot in
+    List.iter
+      (function
+        | U u -> contents.(u.comp) <- u.value
+        | S { proc; view; end_idx } ->
+          if not (Array.for_all2 Value.equal contents view) then
+            err "Corollary 15: Scan by q%d at idx %d returned a stale view"
+              proc end_idx)
+      order
+  end;
 
   (* Lemma 11 / Lemma 12. *)
-  let updates_of_bu proc ts =
-    List.filter (fun u -> u.u_writer = proc && Vts.equal u.u_ts ts) updates
-  in
   List.iter
     (function
-      | Aug.Bu_op { proc; ts; x_idx; start_idx; result; _ } -> (
-        let us = updates_of_bu proc ts in
-        match result with
-        | Aug.Atomic _ ->
-          List.iter
-            (fun u ->
-              if u.u_lin <> x_idx then
-                err
-                  "Lemma 11: atomic Block-Update by q%d (ts %s): update to %d \
-                   linearized at %d, not at X=%d"
-                  proc (Vts.show ts) u.u_comp u.u_lin x_idx)
-            us
-        | Aug.Yield ->
-          List.iter
-            (fun u ->
-              if not (u.u_lin > start_idx && u.u_lin <= x_idx) then
-                err
-                  "Lemma 12: yield Block-Update by q%d (ts %s): update to %d \
-                   linearized at %d outside (%d, %d]"
-                  proc (Vts.show ts) u.u_comp u.u_lin start_idx x_idx)
-            us)
+      | Aug.Bu_op { proc; ts; x_idx; start_idx; result; _ } ->
+        let c = owner ~proc ~ts updates in
+        List.iter
+          (fun u ->
+            if c >= 0 && u.bu = c then
+              match result with
+              | Aug.Atomic _ ->
+                if u.lin <> x_idx then
+                  err
+                    "Lemma 11: atomic Block-Update by q%d (ts %s): update to \
+                     %d linearized at %d, not at X=%d"
+                    proc (Vts.show ts) u.comp u.lin x_idx
+              | Aug.Yield ->
+                if not (u.lin > start_idx && u.lin <= x_idx) then
+                  err
+                    "Lemma 12: yield Block-Update by q%d (ts %s): update to \
+                     %d linearized at %d outside (%d, %d]"
+                    proc (Vts.show ts) u.comp u.lin start_idx x_idx)
+          updates
       | Aug.Scan_op _ -> ())
     log;
 
   (* Lemma 11 contiguity: in the final order, the updates of each atomic
      Block-Update appear consecutively. *)
-  let order_arr = Array.of_list order in
   List.iter
     (function
       | Aug.Bu_op { proc; ts; result = Aug.Atomic _; _ } ->
-        let positions = ref [] in
-        Array.iteri
-          (fun pos item ->
-            match item with
-            | U u when u.u_writer = proc && Vts.equal u.u_ts ts ->
-              positions := pos :: !positions
-            | _ -> ())
-          order_arr;
-        let ps = List.sort Int.compare !positions in
-        (match ps with
-        | [] -> ()
-        | first :: _ ->
-          List.iteri
-            (fun k p ->
-              if p <> first + k then
-                err
-                  "Lemma 11: updates of atomic Block-Update by q%d (ts %s) \
-                   are not consecutive in the linearization"
-                  proc (Vts.show ts))
-            ps)
+        let c = owner ~proc ~ts updates in
+        let rec from pos first seen = function
+          | [] -> ()
+          | U u :: rest when c >= 0 && u.bu = c ->
+            if first >= 0 && pos <> first + seen then
+              err
+                "Lemma 11: updates of atomic Block-Update by q%d (ts %s) are \
+                 not consecutive in the linearization"
+                proc (Vts.show ts);
+            from (pos + 1) (if first < 0 then pos else first) (seen + 1) rest
+          | (U _ | S _) :: rest -> from (pos + 1) first seen rest
+        in
+        from 0 (-1) 0 order
       | Aug.Bu_op _ | Aug.Scan_op _ -> ())
     log;
 
@@ -312,7 +345,7 @@ let check aug trace =
       | Aug.Bu_op
           { proc; ts; x_idx; start_idx; result = Aug.Atomic { view; last }; _ }
         -> (
-        match window_start ~trace ~last ~x_idx with
+        match window_in ~last ~x_idx hscans with
         | None ->
           err "Lemma 16: atomic Block-Update by q%d (ts %s): cannot locate L"
             proc (Vts.show ts)
@@ -324,14 +357,12 @@ let check aug trace =
               proc (Vts.show ts) l_idx start_idx;
           windows := (proc, ts, l_idx, x_idx) :: !windows;
           (* Lemma 19: returned view = contents of M at L. *)
-          let at_l = Array.make m Value.Bot in
-          List.iter
-            (fun item ->
-              match item with
-              | U u when u.u_lin < l_idx -> at_l.(u.u_comp) <- u.u_value
-              | _ -> ())
-            order;
-          if not (Array.for_all2 Value.equal at_l view) then
+          let rec same_at_l j =
+            j >= m
+            || Value.equal (value_at order ~l:l_idx j) view.(j)
+               && same_at_l (j + 1)
+          in
+          if not (same_at_l 0) then
             err
               "Lemma 19: atomic Block-Update by q%d (ts %s): returned view \
                differs from M at L=%d"
@@ -351,19 +382,17 @@ let check aug trace =
              processes linearize strictly inside the window. *)
           List.iter
             (fun u ->
-              if u.u_lin > l_idx && u.u_lin < x_idx then
-                match u.u_kind with
-                | Atomic_bu ->
+              if u.lin > l_idx && u.lin < x_idx then
+                if u.atomic then
                   err
                     "Lemma 19: update by q%d (atomic BU) linearized at %d \
                      inside window (%d, %d) of q%d"
-                    u.u_writer u.u_lin l_idx x_idx proc
-                | Yield_bu | Incomplete_bu ->
-                  if u.u_writer = proc then
-                    err
-                      "Lemma 19: update by the window owner q%d linearized \
-                       inside its own window (%d, %d)"
-                      proc l_idx x_idx)
+                    u.writer u.lin l_idx x_idx proc
+                else if u.writer = proc then
+                  err
+                    "Lemma 19: update by the window owner q%d linearized \
+                     inside its own window (%d, %d)"
+                    proc l_idx x_idx)
             updates)
       | Aug.Bu_op _ | Aug.Scan_op _ -> ())
     log;
@@ -383,12 +412,6 @@ let check aug trace =
   pairs !windows;
 
   (* ---- Theorem 20 and Lemma 2. ---- *)
-  let triple_appends_between ~lo ~hi ~pred =
-    List.filter
-      (fun (e : Aug.F.trace_entry) ->
-        e.idx > lo && e.idx < hi && Aug.Ops.appends_triples e.op && pred e.pid)
-      trace
-  in
   List.iter
     (function
       | Aug.Bu_op { proc; ts; start_idx; end_idx; n_ops; result; _ } ->
@@ -399,9 +422,9 @@ let check aug trace =
           if proc = 0 then
             err "Theorem 20: q0's Block-Update (ts %s) returned Y" (Vts.show ts);
           if
-            triple_appends_between ~lo:start_idx ~hi:end_idx ~pred:(fun p ->
+            appends_between appends ~lo:start_idx ~hi:end_idx ~pred:(fun p ->
                 p < proc)
-            = []
+            = 0
           then
             err
               "Theorem 20: Block-Update by q%d (ts %s) yielded without a \
@@ -410,42 +433,36 @@ let check aug trace =
         | Aug.Atomic _ -> ())
       | Aug.Scan_op { proc; start_idx; end_idx; n_ops; _ } ->
         let k =
-          List.length
-            (triple_appends_between ~lo:start_idx ~hi:end_idx ~pred:(fun p ->
-                 p <> proc))
+          appends_between appends ~lo:start_idx ~hi:end_idx ~pred:(fun p ->
+              p <> proc)
         in
         if n_ops > (2 * k) + 3 then
           err "Lemma 2: Scan by q%d took %d > 2k+3 = %d steps" proc n_ops
             ((2 * k) + 3))
     log;
 
+  let n_scans = ref 0 and n_atomic = ref 0 and n_yield = ref 0 in
+  let max_scan_ops = ref 0 and max_bu_ops = ref 0 in
+  List.iter
+    (function
+      | Aug.Scan_op { n_ops; _ } ->
+        incr n_scans;
+        max_scan_ops := max !max_scan_ops n_ops
+      | Aug.Bu_op { n_ops; result; _ } ->
+        (match result with
+        | Aug.Atomic _ -> incr n_atomic
+        | Aug.Yield -> incr n_yield);
+        max_bu_ops := max !max_bu_ops n_ops)
+    log;
   let stats =
     {
-      n_scans =
-        List.length
-          (List.filter (function Aug.Scan_op _ -> true | _ -> false) log);
-      n_bus =
-        List.length (List.filter (function Aug.Bu_op _ -> true | _ -> false) log);
-      n_atomic =
-        List.length
-          (List.filter
-             (function
-               | Aug.Bu_op { result = Aug.Atomic _; _ } -> true | _ -> false)
-             log);
-      n_yield =
-        List.length
-          (List.filter
-             (function Aug.Bu_op { result = Aug.Yield; _ } -> true | _ -> false)
-             log);
-      n_incomplete_bus = !n_incomplete;
-      max_scan_ops =
-        List.fold_left
-          (fun acc -> function Aug.Scan_op { n_ops; _ } -> max acc n_ops | _ -> acc)
-          0 log;
-      max_bu_ops =
-        List.fold_left
-          (fun acc -> function Aug.Bu_op { n_ops; _ } -> max acc n_ops | _ -> acc)
-          0 log;
+      n_scans = !n_scans;
+      n_bus = !n_atomic + !n_yield;
+      n_atomic = !n_atomic;
+      n_yield = !n_yield;
+      n_incomplete_bus = n_incomplete;
+      max_scan_ops = !max_scan_ops;
+      max_bu_ops = !max_bu_ops;
     }
   in
   { ok = !errors = []; errors = List.rev !errors; stats }

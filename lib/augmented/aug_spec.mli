@@ -55,7 +55,9 @@ val linearize : Aug.t -> Aug.F.trace_entry list -> litem list
 
 (** [window_start ~trace ~last ~x_idx] locates the point [L] of an atomic
     Block-Update: the last [H.scan] before [x_idx] whose result is
-    triple-equal to the recorded ℓ ([last]). *)
+    triple-equal to the recorded ℓ ([last]). Scan results are matched on
+    their per-component triple counts: [H]'s triples are append-only, so
+    the counts identify the state. *)
 val window_start :
   trace:Aug.F.trace_entry list -> last:Hrep.snap -> x_idx:int -> int option
 

@@ -590,13 +590,15 @@ let gen_sched ~n_procs ~max_steps ~seed =
       ~prefix:(Schedule.among ~procs ~seed:sub_seed)
       ~suffix:(Schedule.random ~seed:(sub_seed lxor 0x5555))
   | _ ->
-    let rec gen g k acc =
-      if k = 0 then List.rev acc
-      else
-        let pid, g = Prng.int g n_procs in
-        gen g (k - 1) (pid :: acc)
-    in
-    Schedule.script (gen g (2 * max_steps) [])
+    (* a script of 2 * max_steps uniform pids, drawn only as far as the
+       run consumes it *)
+    Schedule.unfold
+      (fun (g, k) ->
+        if k = 0 then None
+        else
+          let pid, g = Prng.int g n_procs in
+          Some (pid, (g, k - 1)))
+      (g, 2 * max_steps)
 
 let sweep ?domains ?(max_steps = 200) ?(max_violations = 1) ~budget ~seed w =
   require_positive "sweep"
@@ -997,6 +999,55 @@ module Aug_target = struct
       statuses;
     List.rev !live
 
+  (* Rolling state digests for the engine's fingerprint: one pair of
+     accumulators per fiber folding its (operation, result) history —
+     bodies are deterministic, so this pins down the fiber's whole local
+     state — and one pair per single-writer H component folding, for each
+     append, the issuer's fiber digest at issue time (append contents are
+     a function of the issuer's history, so the payload itself, which
+     contains recursive snapshots, never needs hashing). A scan's result
+     hash is the combined H-component digest at scan time. Returns the
+     digesting [apply] and the fingerprint of the state reached. *)
+  let digests aug ~f =
+    let fib1 = Array.make f 0x1505 in
+    let fib2 = Array.make f 0x9747 in
+    let comp1 = Array.make f 0x1505 in
+    let comp2 = Array.make f 0x9747 in
+    let apply ~pid op =
+      let res = Aug.apply aug ~pid op in
+      let tag =
+        match op with
+        | Aug.Ops.Hscan -> 1
+        | Aug.Ops.Happend_triples _ -> 2
+        | Aug.Ops.Happend_lrecords _ -> 3
+      in
+      (match op with
+      | Aug.Ops.Hscan -> ()
+      | Aug.Ops.Happend_triples _ | Aug.Ops.Happend_lrecords _ ->
+        comp1.(pid) <- mix1 (mix1 comp1.(pid) fib1.(pid)) tag;
+        comp2.(pid) <- mix2 (mix2 comp2.(pid) fib2.(pid)) tag);
+      let r1, r2 =
+        match res with
+        | Aug.Ops.Ack -> (17, 17)
+        | Aug.Ops.Snap _ ->
+          (Array.fold_left mix1 5 comp1, Array.fold_left mix2 5 comp2)
+      in
+      fib1.(pid) <- mix1 (mix1 fib1.(pid) tag) r1;
+      fib2.(pid) <- mix2 (mix2 fib2.(pid) tag) r2;
+      res
+    in
+    let fingerprint live =
+      let fold mixf a b =
+        let h = ref 0 in
+        Array.iter (fun d -> h := mixf !h d) a;
+        Array.iter (fun d -> h := mixf !h d) b;
+        List.iter (fun p -> h := mixf !h (p + 1)) live;
+        !h
+      in
+      (fold mix1 fib1 comp1, fold mix2 fib2 comp2)
+    in
+    (apply, fingerprint)
+
   let workload ?(oracles = default_oracles) ?inject ?(faults = []) ~name ~f
       ~m ~bodies () =
     let ocs = oracle_counters oracles in
@@ -1004,62 +1055,30 @@ module Aug_target = struct
       let aug = Aug.create ?inject ~f ~m () in
       (* A plan is single-run (fire-once state), so compile it afresh for
          every execution: replays see the identical fault environment. *)
-      let plan = Faults.plan ~adapter:Aug.fault_adapter faults in
-      let control = Faults.control plan in
-      (* Rolling state digests for the engine's fingerprint: one pair of
-         accumulators per fiber folding its (operation, result) history
-         — bodies are deterministic, so this pins down the fiber's whole
-         local state — and one pair per single-writer H component
-         folding, for each append, the issuer's fiber digest at issue
-         time (append contents are a function of the issuer's history,
-         so the payload itself, which contains recursive snapshots,
-         never needs hashing). A scan's result hash is the combined
-         H-component digest at scan time. *)
-      let fib1 = Array.make f 0x1505 in
-      let fib2 = Array.make f 0x9747 in
-      let comp1 = Array.make f 0x1505 in
-      let comp2 = Array.make f 0x9747 in
-      let apply ~pid op =
-        let res = Aug.apply aug ~pid op in
-        let tag =
-          match op with
-          | Aug.Ops.Hscan -> 1
-          | Aug.Ops.Happend_triples _ -> 2
-          | Aug.Ops.Happend_lrecords _ -> 3
-        in
-        (match op with
-        | Aug.Ops.Hscan -> ()
-        | Aug.Ops.Happend_triples _ | Aug.Ops.Happend_lrecords _ ->
-          comp1.(pid) <- mix1 (mix1 comp1.(pid) fib1.(pid)) tag;
-          comp2.(pid) <- mix2 (mix2 comp2.(pid) fib2.(pid)) tag);
-        let r1, r2 =
-          match res with
-          | Aug.Ops.Ack -> (17, 17)
-          | Aug.Ops.Snap _ ->
-            (Array.fold_left mix1 5 comp1, Array.fold_left mix2 5 comp2)
-        in
-        fib1.(pid) <- mix1 (mix1 fib1.(pid) tag) r1;
-        fib2.(pid) <- mix2 (mix2 fib2.(pid) tag) r2;
-        res
+      let control =
+        match faults with
+        | [] -> None
+        | _ :: _ ->
+          Some (Faults.control (Faults.plan ~adapter:Aug.fault_adapter faults))
       in
-      let fingerprint live =
-        let fold mixf a b =
-          let h = ref 0 in
-          Array.iter (fun d -> h := mixf !h d) a;
-          Array.iter (fun d -> h := mixf !h d) b;
-          List.iter (fun p -> h := mixf !h (p + 1)) live;
-          !h
-        in
-        (fold mix1 fib1 comp1, fold mix2 fib2 comp2)
-      in
-      let fprobe =
-        Option.map
-          (fun p ~step ~live ~pending:_ ->
-            p { step; live; fingerprint = (fun () -> Some (fingerprint live)) })
-          probe
+      (* Only a probe reads the digests; unprobed runs skip them. *)
+      let apply, fprobe =
+        match probe with
+        | None -> (Aug.apply aug, None)
+        | Some p ->
+          let apply, fingerprint = digests aug ~f in
+          ( apply,
+            Some
+              (fun ~step ~live ~pending:_ ->
+                p
+                  {
+                    step;
+                    live;
+                    fingerprint = (fun () -> Some (fingerprint live));
+                  }) )
       in
       let result =
-        Aug.F.run ~max_ops ~control ~obs_label:Aug.op_name ?probe:fprobe
+        Aug.F.run ~max_ops ?control ~obs_label:Aug.op_name ?probe:fprobe
           ~sched ~apply (bodies aug)
       in
       let live = live_of result.Aug.F.statuses in

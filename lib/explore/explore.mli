@@ -263,9 +263,10 @@ module Aug_target : sig
       [bodies aug] must build fresh fiber bodies (one per pid, [f] of
       them) on every call. [faults] is a fault-plane profile compiled
       afresh (fire-once state and all) on every execution, so replays are
-      deterministic. Executions maintain rolling state digests, so the
-      exploration engine's probe always gets a fingerprint (folded from
-      them only when forced). *)
+      deterministic. Probed executions maintain rolling state digests, so
+      the exploration engine's probe always gets a fingerprint (folded
+      from them only when forced); unprobed ones ([sweep], [replay],
+      [shrink]) keep none. *)
   val workload :
     ?oracles:exec Oracle.t list ->
     ?inject:Rsim_augmented.Aug.fault ->

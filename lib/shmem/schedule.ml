@@ -25,17 +25,18 @@ let solo pid =
   in
   t
 
-let script pids =
-  let rec make = function
-    | [] -> { next = (fun ~live:_ -> None) }
-    | pid :: rest ->
-      { next =
-          (fun ~live ->
-            if List.mem pid live then Some (pid, make rest)
-            else (make rest).next ~live);
-      }
+let unfold step s =
+  let rec make s = { next = (fun ~live -> first ~live s) }
+  and first ~live s =
+    match step s with
+    | None -> None
+    | Some (pid, s') ->
+      if List.mem pid live then Some (pid, make s') else first ~live s'
   in
-  make pids
+  make s
+
+let script pids =
+  unfold (function [] -> None | pid :: rest -> Some (pid, rest)) pids
 
 let random ~seed =
   let rec make rng =

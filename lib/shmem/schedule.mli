@@ -19,8 +19,17 @@ val round_robin : t
 val solo : int -> t
 
 (** Follow a fixed pid script, skipping entries that are not live;
-    exhausts at end of script. *)
+    exhausts at end of script. [script pids] is {!unfold} over the
+    list. *)
 val script : int list -> t
+
+(** [unfold step s]: a script whose entries are generated on demand,
+    [step s = Some (pid, s')] giving the next entry and the state after
+    it, [None] its end. Entries that are not live are skipped, exactly
+    as {!script} skips them, so unfolding a generator draws the same
+    pids as the script of the list it would generate, while drawing only
+    as many entries as the run consumes. *)
+val unfold : ('s -> (int * 's) option) -> 's -> t
 
 (** Uniformly random live process each step. *)
 val random : seed:int -> t

@@ -411,6 +411,166 @@ let test_scan_blocked_by_updates () =
   | [ n ] -> Alcotest.(check bool) "scan retried" true (n > 3)
   | _ -> Alcotest.fail "expected exactly one completed scan")
 
+(* ---- the indexed checker against the list-based reference ---- *)
+
+(* A seeded corpus of executions, each judged by both {!Aug_spec} and
+   the reference model [Aug_spec_ref]: full reports (verdict, error
+   order, stats), linearizations and every atomic Block-Update's window
+   start must agree exactly. *)
+type corpus = {
+  mutable execs : int;
+  mutable failing : int;  (** executions whose report has errors *)
+  mutable mismatches : string list;
+}
+
+let compare_checkers corpus label aug trace =
+  corpus.execs <- corpus.execs + 1;
+  let r = Aug_spec.check aug trace in
+  if not r.Aug_spec.ok then corpus.failing <- corpus.failing + 1;
+  let differ what =
+    corpus.mismatches <- (label ^ ": " ^ what) :: corpus.mismatches
+  in
+  if r <> Aug_spec_ref.check aug trace then differ "check";
+  if Aug_spec.linearize aug trace <> Aug_spec_ref.linearize aug trace then
+    differ "linearize";
+  List.iter
+    (function
+      | Aug.Bu_op { x_idx; result = Aug.Atomic { last; _ }; _ } ->
+        if
+          Aug_spec.window_start ~trace ~last ~x_idx
+          <> Aug_spec_ref.window_start ~trace ~last ~x_idx
+        then differ (Printf.sprintf "window_start x=%d" x_idx)
+      | Aug.Bu_op _ | Aug.Scan_op _ -> ())
+    (Aug.log aug)
+
+let corpus_bodies =
+  [
+    ( "bu-conflict",
+      fun aug ~m:_ pid ->
+        ignore (Aug.block_update aug ~me:pid [ (0, Value.Int (pid + 1)) ]) );
+    ( "bu-then-scan",
+      fun aug ~m pid ->
+        ignore
+          (Aug.block_update aug ~me:pid [ (pid mod m, Value.Int (pid + 1)) ]);
+        ignore (Aug.scan aug ~me:pid) );
+    ( "multi-component",
+      fun aug ~m pid ->
+        ignore
+          (Aug.block_update aug ~me:pid
+             [
+               (pid mod m, Value.Int (pid + 1));
+               ((pid + 1) mod m, Value.Int (10 + pid));
+             ]);
+        ignore (Aug.scan aug ~me:pid);
+        ignore
+          (Aug.block_update aug ~me:pid
+             [ ((pid + 2) mod m, Value.Int (20 + pid)) ]) );
+  ]
+
+let test_differential_corpus () =
+  let corpus = { execs = 0; failing = 0; mismatches = [] } in
+  let plan_of kind ~f g =
+    let draw n =
+      let k, g' = Prng.int !g n in
+      g := g';
+      k
+    in
+    let pid = draw f and at_op = draw 12 in
+    let action : Rsim_faults.Faults.action =
+      match kind with
+      | "crash" -> if draw 2 = 0 then Crash else Restart { delay = 1 + draw 4 }
+      | "drop" -> Drop
+      | "corrupt" -> Corrupt { seed = draw 1000 }
+      | _ -> assert false
+    in
+    [ { Rsim_faults.Faults.pid; at_op; action } ]
+  in
+  List.iter
+    (fun (body_name, body) ->
+      List.iter
+        (fun (f, m) ->
+          List.iter
+            (fun inject ->
+              List.iter
+                (fun helping ->
+                  List.iter
+                    (fun faults ->
+                      for seed = 0 to 199 do
+                        let g = ref (Prng.make ((seed * 7919) + f + (31 * m))) in
+                        let plan =
+                          if faults = "none" then []
+                          else plan_of faults ~f g
+                        in
+                        (* Every other run is cut short, mid-operation. *)
+                        let max_ops =
+                          if seed mod 2 = 0 then 400 else 3 + (seed mod 17)
+                        in
+                        let aug = Aug.create ~helping ?inject ~f ~m () in
+                        let result =
+                          Aug.F.run ~max_ops
+                            ~control:
+                              (Rsim_faults.Faults.control
+                                 (Rsim_faults.Faults.plan
+                                    ~adapter:Aug.fault_adapter plan))
+                            ~sched:(Schedule.random ~seed)
+                            ~apply:(Aug.apply aug)
+                            (List.init f (fun _ pid -> body aug ~m pid))
+                        in
+                        compare_checkers corpus
+                          (Printf.sprintf
+                             "%s f=%d m=%d helping=%b faults=%s seed=%d"
+                             body_name f m helping faults seed)
+                          aug result.Aug.F.trace
+                      done)
+                    [ "none"; "crash"; "drop"; "corrupt" ])
+                [ true; false ])
+            [ None; Some Aug.Skip_yield_check; Some Aug.Yield_on_higher ])
+        [ (2, 2); (3, 3) ])
+    corpus_bodies;
+  let aug_execs = corpus.execs in
+  (* Full racing simulations (Alg 5-7), run to completion or cut short. *)
+  let hspec =
+    {
+      Rsim_simulation.Harness.protocol =
+        (fun pid input -> (Rsim_protocols.Racing.protocol ~m:2 ()) pid input);
+      n = 4;
+      m = 2;
+      f = 2;
+      d = 0;
+      inputs = [ Value.Int 1; Value.Int 2 ];
+    }
+  in
+  let complete = ref 0 in
+  for seed = 0 to 1999 do
+    let max_ops = if seed mod 2 = 0 then 2000 else 5 + (seed mod 40) in
+    let r =
+      Rsim_simulation.Harness.run ~max_ops ~sched:(Schedule.random ~seed) hspec
+    in
+    if
+      Array.for_all
+        (fun st -> st <> Rsim_runtime.Fiber.Pending)
+        r.Rsim_simulation.Harness.statuses
+    then incr complete;
+    compare_checkers corpus
+      (Printf.sprintf "racing seed=%d max_ops=%d" seed max_ops)
+      r.Rsim_simulation.Harness.aug r.Rsim_simulation.Harness.trace
+  done;
+  Printf.printf
+    "differential corpus: %d executions (%d Aug, %d racing of which %d \
+     complete), %d with errors, %d mismatches\n"
+    corpus.execs aug_execs (corpus.execs - aug_execs) !complete corpus.failing
+    (List.length corpus.mismatches);
+  (match List.rev corpus.mismatches with
+  | [] -> ()
+  | first :: _ as all ->
+    Alcotest.failf "%d mismatches against the reference checker, first: %s"
+      (List.length all) first);
+  (* Not vacuous: the corpus must exercise the error paths and both
+     complete and truncated simulations. *)
+  Alcotest.(check bool) "some executions have errors" true (corpus.failing > 0);
+  Alcotest.(check bool) "some racing runs complete" true (!complete > 0);
+  Alcotest.(check bool) "some racing runs truncated" true (!complete < 2000)
+
 let () =
   Alcotest.run "aug"
     [
@@ -458,4 +618,9 @@ let () =
             prop_crashy_schedules;
             prop_deterministic;
           ] );
+      ( "reference",
+        [
+          Alcotest.test_case "indexed checker matches the list-based one" `Quick
+            test_differential_corpus;
+        ] );
     ]

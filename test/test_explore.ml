@@ -190,6 +190,133 @@ let test_sweep_finds_seeded_bug () =
     Alcotest.(check bool) "shrunk sweep counterexample replays" true
       (out.Explore.errors <> [])
 
+let test_sweep_pinned () =
+  (* Seeds 1 and 2 run clean; seed 3 draws the random-script family and
+     fails. Pinned at the values the family gave when its 2 * max_steps
+     pids were drawn up front: drawing them lazily must not move them. *)
+  let w = get_builtin ~inject:Aug.Skip_yield_check "bu-conflict" ~f:3 ~m:3 in
+  let rep = Explore.sweep ~domains:1 ~budget:5000 ~seed:1 w in
+  Alcotest.(check int) "executions" 3 rep.Explore.executions;
+  match rep.Explore.violations with
+  | [ v ] ->
+    Alcotest.(check (list int)) "first violation's original script"
+      [ 1; 1; 1; 2; 1; 0; 0; 0; 1; 2; 1; 0; 0; 0; 2; 2; 2; 2 ]
+      v.Explore.original
+  | vs -> Alcotest.failf "expected one violation, got %d" (List.length vs)
+
+(* The sweep's random-script family against the reference it is held
+   to: the [Schedule.script] of the [2 * max_steps] pids drawn up front,
+   after the family's two leading draws (adversary kind, sub-seed). *)
+let eager_script ~n_procs ~max_steps ~seed =
+  let g = Prng.make seed in
+  let kind, g = Prng.int g 5 in
+  let _sub_seed, g = Prng.int g 0x3FFFFFFF in
+  let rec gen g k acc =
+    if k = 0 then List.rev acc
+    else
+      let pid, g = Prng.int g n_procs in
+      gen g (k - 1) (pid :: acc)
+  in
+  if kind = 4 then Some (gen g (2 * max_steps) []) else None
+
+(* Every pick of [sched] until it exhausts, offered a seeded sequence of
+   non-empty live sets. *)
+let picks sched ~n_procs ~seed =
+  let g = ref (Prng.make (seed + 0x1f3d)) in
+  let rec go sched acc =
+    let mask, g' = Prng.int !g ((1 lsl n_procs) - 1) in
+    g := g';
+    let live =
+      List.filter
+        (fun p -> (mask + 1) land (1 lsl p) <> 0)
+        (List.init n_procs Fun.id)
+    in
+    match Schedule.next sched ~live with
+    | None -> List.rev acc
+    | Some (pid, sched') -> go sched' (pid :: acc)
+  in
+  go sched []
+
+let test_lazy_script_family () =
+  let max_steps = 30 in
+  let compared = ref 0 and differ = ref [] in
+  List.iter
+    (fun n_procs ->
+      let seed = ref (100 * n_procs) in
+      (* A workload that only drives the schedule it is given, so the
+         sweep hands it every adversary of its seed range in order. *)
+      let exec ~probe:_ ~certify:_ ~sched ~max_ops:_ ~check:_ =
+        (match eager_script ~n_procs ~max_steps ~seed:!seed with
+        | None -> ()
+        | Some pids ->
+          incr compared;
+          let want = picks (Schedule.script pids) ~n_procs ~seed:!seed in
+          if picks sched ~n_procs ~seed:!seed <> want then
+            differ := (n_procs, !seed) :: !differ);
+        incr seed;
+        {
+          Explore.script = [];
+          live = [];
+          steps = 0;
+          errors = [];
+          judge = (fun () -> []);
+        }
+      in
+      let w =
+        {
+          Explore.name = "schedule-only";
+          n_procs;
+          params = [];
+          inject = None;
+          faults = None;
+          exec;
+        }
+      in
+      let rep =
+        Explore.sweep ~domains:1 ~max_steps ~budget:1500 ~seed:(100 * n_procs) w
+      in
+      Alcotest.(check int) "every seed executed" 1500 rep.Explore.executions)
+    [ 1; 2; 3; 5 ];
+  Alcotest.(check bool)
+    (Printf.sprintf "at least 1000 random-script seeds compared (%d)" !compared)
+    true (!compared >= 1000);
+  Alcotest.(check (list (pair int int)))
+    "seeds whose picks differ" [] (List.rev !differ)
+
+let test_probe_independence () =
+  (* An unprobed execution keeps no state digests and an execution
+     without faults compiles no fault plan; neither may change what
+     runs or what the oracles say. *)
+  let cont (v : Explore.probe_view) =
+    ignore (v.Explore.fingerprint ());
+    `Continue
+  in
+  List.iter
+    (fun (name, inject) ->
+      let w = get_builtin ?inject name ~f:3 ~m:3 in
+      let w_nofaults = get_builtin ?inject ~faults:[] name ~f:3 ~m:3 in
+      for seed = 0 to 199 do
+        let max_ops = if seed mod 2 = 0 then 200 else 4 + (seed mod 13) in
+        let run (w : Explore.workload) probe =
+          let o =
+            w.Explore.exec ~probe ~certify:false ~sched:(Schedule.random ~seed)
+              ~max_ops ~check:true
+          in
+          (o.Explore.script, o.Explore.steps, o.Explore.live, o.Explore.errors)
+        in
+        let base = run w None in
+        let label = Printf.sprintf "%s seed=%d" name seed in
+        if run w (Some cont) <> base then
+          Alcotest.failf "%s: probe changed the run" label;
+        if run w_nofaults None <> base then
+          Alcotest.failf "%s: ~faults:[] changed the run" label
+      done)
+    [
+      ("bu-conflict", Some Aug.Skip_yield_check);
+      ("mixed", None);
+      ("bu-then-scan", Some Aug.Yield_on_higher);
+    ]
+
 (* ---- crash faults: Corollary 15 for the survivors ---- *)
 
 (* q1 starts a Block-Update of component 0 and crashes after
@@ -854,6 +981,11 @@ let () =
             test_sweep_finds_seeded_bug;
           Alcotest.test_case "domains clamped to budget" `Quick
             test_sweep_domain_clamp;
+          Alcotest.test_case "seeded-bug result pinned" `Quick test_sweep_pinned;
+          Alcotest.test_case "lazy script family matches the eager one" `Quick
+            test_lazy_script_family;
+          Alcotest.test_case "probe and fault plan leave the run alone" `Quick
+            test_probe_independence;
         ] );
       ( "bounds",
         [
